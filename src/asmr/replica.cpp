@@ -81,12 +81,6 @@ std::uint64_t Replica::decision_cert_wire() const {
          committee_.quorum() * config_.cert_vote_bytes;
 }
 
-void Replica::broadcast_to_members(const std::vector<ReplicaId>& dests,
-                                   const Bytes& data, std::uint32_t units,
-                                   std::uint64_t extra) {
-  net_.broadcast(me_, dests, data, units, extra);
-}
-
 Replica::Engine* Replica::find_engine(const Key& key) {
   const auto it = engines_.find(key);
   return it == engines_.end() ? nullptr : it->second.get();
@@ -115,9 +109,9 @@ Replica::Engine* Replica::get_or_create_engine(const Key& key) {
       // once it holds fd PoFs itself (messages arriving earlier are
       // buffered; their PoFs are harvested in dispatch()). The sole
       // entry point is maybe_start_membership().
-      if (!membership_running_) return nullptr;
+      if (!membership_.running()) return nullptr;
       slot_members = epoch_members_;
-      live = &exclusion_live_;
+      live = &membership_.cprime();
       break;
     }
     case InstanceKind::kInclusion:
@@ -125,7 +119,7 @@ Replica::Engine* Replica::get_or_create_engine(const Key& key) {
       if (key.index != 0) return nullptr;
       // Only joinable once our own exclusion consensus finished (the
       // slot map is the post-exclusion committee).
-      if (cons_exclude_.empty()) return nullptr;
+      if (membership_.cons_exclude().empty()) return nullptr;
       slot_members = committee_.members();
       break;
   }
@@ -143,7 +137,7 @@ Replica::Engine* Replica::get_or_create_engine(const Key& key) {
   hooks.broadcast = [this, dests = slot_members](Bytes data,
                                                  std::uint32_t units,
                                                  std::uint64_t extra) {
-    broadcast_to_members(dests, data, units, extra);
+    net_.broadcast(me_, dests, data, units, extra);
   };
   hooks.decided = [this, key]() { on_engine_decided(key); };
   if (config_.accountable && config_.log_slot_cap > 0) {
@@ -173,20 +167,8 @@ Replica::Engine* Replica::get_or_create_engine(const Key& key) {
     case InstanceKind::kExclusion:
       hooks.validate = [this](BytesView payload) {
         try {
-          const auto pofs = consensus::decode_pofs(payload);
-          if (pofs.empty()) return false;
-          for (const auto& pof : pofs) {
-            if (!consensus::verify_pof(pof, scheme_)) return false;
-            if (committee_.slot_of(pof.culprit()) < 0 &&
-                std::find(epoch_members_.begin(), epoch_members_.end(),
-                          pof.culprit()) == epoch_members_.end()) {
-              return false;
-            }
-          }
-          // Valid PoFs are proof in themselves: adopt them (Alg. 1
-          // lines 13-16), deferred to the end of message handling.
-          pending_pofs_.insert(pending_pofs_.end(), pofs.begin(), pofs.end());
-          return true;
+          return membership_.accept_claim(consensus::decode_pofs(payload),
+                                          epoch_members_, scheme_);
         } catch (const DecodeError&) {
           return false;
         }
@@ -196,14 +178,10 @@ Replica::Engine* Replica::get_or_create_engine(const Key& key) {
       hooks.validate = [this](BytesView payload) {
         try {
           const auto ids = decode_replica_ids(payload);
-          if (ids.empty()) return false;
-          for (ReplicaId id : ids) {
-            if (std::find(pool_.begin(), pool_.end(), id) == pool_.end()) {
-              return false;
-            }
-            if (committee_.contains(id)) return false;
-          }
-          return true;
+          return !ids.empty() &&
+                 std::all_of(ids.begin(), ids.end(), [this](ReplicaId id) {
+                   return membership_.includable(id, pool_, committee_);
+                 });
         } catch (const DecodeError&) {
           return false;
         }
@@ -249,42 +227,21 @@ void Replica::wire_and_propose(const Key& key, Engine& engine) {
       break;
     }
     case InstanceKind::kExclusion: {
-      const auto pofs = pofs_.pofs();
+      const auto pofs = membership_.claim_pofs(epoch_members_);
       engine.propose(consensus::encode_pofs(pofs), 0, 0,
                      1 + 2 * static_cast<std::uint32_t>(pofs.size()));
       break;
     }
-    case InstanceKind::kInclusion: {
-      // pool.take(|cons-exclude|), offset by our slot so proposals
-      // differ across replicas and choose() can spread the inclusions
-      // evenly over all decided proposals.
-      std::vector<ReplicaId> candidates;
-      for (ReplicaId id : pool_) {
-        if (!committee_.contains(id) &&
-            std::find(excluded_ids_.begin(), excluded_ids_.end(), id) ==
-                excluded_ids_.end()) {
-          candidates.push_back(id);
-        }
-      }
-      std::vector<ReplicaId> prop;
-      if (!candidates.empty()) {
-        const int my_slot = std::max(0, committee_.slot_of(me_));
-        const std::size_t want =
-            std::min(cons_exclude_.size(), candidates.size());
-        const std::size_t start =
-            (static_cast<std::size_t>(my_slot) * want) % candidates.size();
-        for (std::size_t i = 0; i < want; ++i) {
-          prop.push_back(candidates[(start + i) % candidates.size()]);
-        }
-      }
-      engine.propose(encode_replica_ids(prop), 0, 0, 1);
+    case InstanceKind::kInclusion:
+      engine.propose(encode_replica_ids(membership_.inclusion_proposal(
+                         pool_, committee_, me_)),
+                     0, 0, 1);
       break;
-    }
   }
 }
 
 void Replica::start_instance(InstanceId k) {
-  if (!active_ || membership_running_) return;
+  if (!active_ || membership_.running()) return;
   if (k >= config_.max_instances) {
     instance_running_ = false;
     return;
@@ -355,8 +312,8 @@ void Replica::on_regular_decided(const Key& key, Engine& engine) {
     const Bytes summary = msg.summary_bytes();
     msg.signature = scheme_.sign(me_, BytesView(summary.data(),
                                                 summary.size()));
-    broadcast_to_members(epoch_members_, encode_decision_msg(msg), 1,
-                         decision_cert_wire());
+    net_.broadcast(me_, epoch_members_, encode_decision_msg(msg), 1,
+                   decision_cert_wire());
     rec.confirmations.insert(me_);
   }
 
@@ -413,60 +370,38 @@ void Replica::commit_outcome(const Key& key, Engine& engine) {
 }
 
 void Replica::on_exclusion_decided(const Key& /*key*/, Engine& engine) {
-  if (!cons_exclude_.empty()) return;  // already handled
-  std::set<ReplicaId> culprits;
+  std::vector<std::vector<ProofOfFraud>> decided;
   for (const auto& entry : engine.outcome()) {
     try {
-      const auto pofs = consensus::decode_pofs(
-          BytesView(entry.payload.data(), entry.payload.size()));
-      for (const auto& pof : pofs) {
-        pofs_.add_pof(pof);
-        culprits.insert(pof.culprit());
-      }
+      decided.push_back(consensus::decode_pofs(
+          BytesView(entry.payload.data(), entry.payload.size())));
     } catch (const DecodeError&) {
       continue;
     }
   }
-  for (ReplicaId id : epoch_members_) {
-    if (culprits.count(id) != 0) cons_exclude_.push_back(id);
-  }
+  if (!membership_.decide_exclusion(decided, epoch_members_)) return;
+  const auto& cons_exclude = membership_.cons_exclude();
   metrics_.exclude_time = sim_.now();
-  metrics_.excluded_count = static_cast<std::uint32_t>(cons_exclude_.size());
+  metrics_.excluded_count = static_cast<std::uint32_t>(cons_exclude.size());
   // Alg. 1 line 40: C <- C \ cons-exclude (before the inclusion).
-  committee_.remove(cons_exclude_);
+  committee_.remove(cons_exclude);
   // Alg. 1 lines 41-42: inclusion consensus on pool candidates.
   get_or_create_engine(Key{epoch_, InstanceKind::kInclusion, 0});
   replay_pending();
 }
 
 void Replica::on_inclusion_decided(const Key& /*key*/, Engine& engine) {
-  std::vector<std::vector<ReplicaId>> proposals;
-  for (const auto& entry : engine.outcome()) {
-    try {
-      proposals.push_back(decode_replica_ids(
-          BytesView(entry.payload.data(), entry.payload.size())));
-    } catch (const DecodeError&) {
-      continue;
-    }
-  }
-  std::unordered_set<ReplicaId> banned(epoch_members_.begin(),
-                                       epoch_members_.end());
-  banned.insert(excluded_ids_.begin(), excluded_ids_.end());
   const auto chosen =
-      choose_inclusion(cons_exclude_.size(), proposals, banned);
-
-  committee_.add(chosen);
-  excluded_ids_.insert(excluded_ids_.end(), cons_exclude_.begin(),
-                       cons_exclude_.end());
+      membership_.decide_inclusion(engine.outcome(), epoch_members_);
+  if (!chosen.has_value()) return;
+  committee_.add(*chosen);
   epoch_ += 1;
   epoch_members_ = committee_.members();
   metrics_.include_time = sim_.now();
-  metrics_.included_count = static_cast<std::uint32_t>(chosen.size());
-  membership_running_ = false;
-  cons_exclude_.clear();
+  metrics_.included_count = static_cast<std::uint32_t>(chosen->size());
 
   // Alg. 1 lines 45-47: connect and catch the new replicas up.
-  for (ReplicaId id : chosen) send_catchup(id);
+  for (ReplicaId id : *chosen) send_catchup(id);
 
   // Alg. 1 line 49: restart the stopped instance under the new epoch.
   const InstanceId resume = next_index_;
@@ -591,44 +526,26 @@ void Replica::handle_catchup(ReplicaId from, Reader& r) {
 
 void Replica::observe_vote(const SignedVote& vote) {
   if (vote.body.slot >= config_.log_slot_cap) return;
-  auto pof = pofs_.observe(vote);
-  if (pof.has_value()) pending_pofs_.push_back(*pof);
+  membership_.observe(vote);
 }
 
 void Replica::note_new_pofs() {
-  if (pending_pofs_.empty()) return;
-  std::vector<ProofOfFraud> fresh;
-  for (auto& pof : pending_pofs_) {
-    if (pofs_.add_pof(pof)) fresh.push_back(pof);
-    // (observe() already registered locally detected ones; add_pof is
-    // idempotent and returns false for known culprits.)
-  }
-  // Locally detected PoFs were registered by observe(); pick up any
-  // culprit count change either way.
-  pending_pofs_.clear();
-  metrics_.pof_count = pofs_.culprit_count();
+  if (!membership_.has_pending()) return;
+  const auto reg = membership_.register_pending();
+  metrics_.pof_count = membership_.pofs().culprit_count();
   if (!config_.accountable) return;
 
-  if (!fresh.empty() && config_.recovery) {
+  if (!reg.fresh.empty() && config_.recovery) {
     // Alg. 1 line 26: rebroadcast the new PoFs.
     Writer w;
     w.u8(static_cast<std::uint8_t>(MsgTag::kPofGossip));
-    w.raw(consensus::encode_pofs(fresh));
-    broadcast_to_members(epoch_members_, w.take(),
-                         1 + 2 * static_cast<std::uint32_t>(fresh.size()), 0);
+    w.raw(consensus::encode_pofs(reg.fresh));
+    net_.broadcast(me_, epoch_members_, w.take(),
+                   1 + 2 * static_cast<std::uint32_t>(reg.fresh.size()), 0);
   }
-
-  if (membership_running_) {
-    // Alg. 1 lines 23-27: shrink C' and re-check thresholds at runtime.
-    std::vector<ReplicaId> to_remove;
-    for (ReplicaId m : exclusion_live_.members()) {
-      if (pofs_.is_culprit(m)) to_remove.push_back(m);
-    }
-    if (!to_remove.empty()) {
-      exclusion_live_.remove(to_remove);
-      if (Engine* ex = find_engine(Key{epoch_, InstanceKind::kExclusion, 0})) {
-        ex->recheck();
-      }
+  if (reg.cprime_shrank) {
+    if (Engine* ex = find_engine(Key{epoch_, InstanceKind::kExclusion, 0})) {
+      ex->recheck();
     }
   }
   maybe_start_membership();
@@ -636,17 +553,11 @@ void Replica::note_new_pofs() {
 
 void Replica::maybe_start_membership() {
   if (!config_.accountable || !active_) return;
-  // Count proven culprits still in the committee.
-  std::size_t in_committee = 0;
-  for (ReplicaId id : pofs_.culprits()) {
-    if (committee_.contains(id)) ++in_committee;
-  }
-  const std::size_t fd = committee_.fd();
-  if (in_committee < fd) return;
+  if (!membership_.proven_fd(committee_)) return;
   if (metrics_.detect_time < 0) metrics_.detect_time = sim_.now();
-  if (!config_.recovery || membership_running_) return;
+  if (!config_.recovery || membership_.running()) return;
 
-  membership_running_ = true;
+  membership_.begin(epoch_members_);
   // Alg. 1 line 19: stop the pending ASMR consensus. The injected
   // mc_resume_stale_engines bug skips the freeze — the retired engine
   // then keeps counting stale votes and can commit under the old epoch
@@ -656,12 +567,7 @@ void Replica::maybe_start_membership() {
     if (!config_.mc_resume_stale_engines) cur->stop();
   }
   instance_running_ = false;
-  // Alg. 1 lines 20-22: C' = C \ culprits; start the exclusion consensus.
-  std::vector<ReplicaId> cprime;
-  for (ReplicaId m : epoch_members_) {
-    if (!pofs_.is_culprit(m)) cprime.push_back(m);
-  }
-  exclusion_live_.reset(std::move(cprime));
+  // Alg. 1 lines 20-22: start the exclusion consensus over C′.
   get_or_create_engine(Key{epoch_, InstanceKind::kExclusion, 0});
   replay_pending();
 }
@@ -690,7 +596,7 @@ void Replica::handle_decision_msg(const DecisionMsg& msg) {
         // from re-populating the PofStore state pruned below.
         if (Engine* zombie = find_engine(msg.key)) zombie->stop();
         sim_.schedule(0, [this, k = msg.key]() { engines_.erase(k); });
-        pofs_.prune_instance(msg.key);
+        membership_.pofs().prune_instance(msg.key);
       }
     }
     return;
@@ -698,15 +604,7 @@ void Replica::handle_decision_msg(const DecisionMsg& msg) {
 
   // ② detected a disagreement: figure out which slots conflict.
   metrics_.conflicts_seen += 1;
-  std::map<std::uint32_t, crypto::Hash32> their_digests;
-  {
-    std::size_t di = 0;
-    for (std::uint32_t s = 0; s < msg.bitmask.size(); ++s) {
-      if (msg.bitmask[s] == 1 && di < msg.digests.size()) {
-        their_digests[s] = msg.digests[di++];
-      }
-    }
-  }
+  auto their_digests = msg.digest_by_slot();
   std::map<std::uint32_t, crypto::Hash32> my_digests;
   for (std::size_t i = 0; i < rec.one_slots.size(); ++i) {
     my_digests[rec.one_slots[i]] = rec.digests[i];
@@ -738,11 +636,10 @@ void Replica::handle_decision_msg(const DecisionMsg& msg) {
     EvidenceMsg ev;
     ev.key = msg.key;
     ev.slot = s;
-    ev.votes = pofs_.votes_for(msg.key, s);
+    ev.votes = membership_.pofs().votes_for(msg.key, s);
     if (ev.votes.empty()) continue;
-    broadcast_to_members(
-        epoch_members_, encode_evidence_msg(ev),
-        static_cast<std::uint32_t>(ev.votes.size()), 0);
+    net_.broadcast(me_, epoch_members_, encode_evidence_msg(ev),
+                   static_cast<std::uint32_t>(ev.votes.size()), 0);
   }
 
   // ⑤ reconciliation (functional mode): push our decided blocks so every
@@ -761,7 +658,7 @@ void Replica::handle_decision_msg(const DecisionMsg& msg) {
       w.bytes(ser);
       txs += static_cast<std::uint32_t>(b->txs.size());
     }
-    broadcast_to_members(epoch_members_, w.take(), 1 + txs, 0);
+    net_.broadcast(me_, epoch_members_, w.take(), 1 + txs, 0);
   }
 }
 
@@ -776,16 +673,6 @@ void Replica::handle_evidence(const EvidenceMsg& msg) {
       continue;
     }
     observe_vote(vote);
-  }
-}
-
-void Replica::handle_pof_gossip(BytesView body) {
-  if (!config_.accountable) return;
-  const auto pofs = consensus::decode_pofs(body);
-  for (const auto& pof : pofs) {
-    if (pofs_.is_culprit(pof.culprit())) continue;
-    if (!consensus::verify_pof(pof, scheme_)) continue;
-    pending_pofs_.push_back(pof);
   }
 }
 
@@ -807,7 +694,7 @@ void Replica::buffer_msg(ReplicaId from, BytesView data) {
 
 void Replica::on_message(ReplicaId from, BytesView data) {
   dispatch(from, data, /*replaying=*/false);
-  if (!pending_pofs_.empty()) note_new_pofs();
+  note_new_pofs();
 }
 
 void Replica::dispatch(ReplicaId from, BytesView data, bool replaying) {
@@ -860,13 +747,9 @@ void Replica::dispatch(ReplicaId from, BytesView data, bool replaying) {
             if (msg.vote.body.key.kind == InstanceKind::kExclusion &&
                 config_.accountable) {
               try {
-                for (const auto& pof : consensus::decode_pofs(BytesView(
-                         msg.payload.data(), msg.payload.size()))) {
-                  if (!pofs_.is_culprit(pof.culprit()) &&
-                      consensus::verify_pof(pof, scheme_)) {
-                    pending_pofs_.push_back(pof);
-                  }
-                }
+                membership_.intake(consensus::decode_pofs(BytesView(
+                                       msg.payload.data(), msg.payload.size())),
+                                   scheme_);
               } catch (const DecodeError&) {
               }
             }
@@ -904,8 +787,9 @@ void Replica::dispatch(ReplicaId from, BytesView data, bool replaying) {
           if (!replaying) buffer_msg(from, data);
           return;
         }
-        const Bytes body = r.raw(r.remaining());
-        handle_pof_gossip(BytesView(body.data(), body.size()));
+        if (config_.accountable) {
+          membership_.intake(consensus::decode_pofs(data.subspan(1)), scheme_);
+        }
         break;
       }
       case MsgTag::kCatchupResp: {
@@ -953,7 +837,6 @@ void Replica::fingerprint(Writer& w) const {
   w.boolean(in_replay_);
   w.u64(next_index_);
   w.boolean(instance_running_);
-  w.boolean(membership_running_);
   w.u64(commit_floor_);
   w.varint(parked_commits_.size());
   for (const auto& [index, blocks] : parked_commits_) {
@@ -968,9 +851,6 @@ void Replica::fingerprint(Writer& w) const {
   ids(committee_.members());
   ids(epoch_members_);
   ids(pool_);
-  ids(excluded_ids_);
-  ids(exclusion_live_.members());
-  ids(cons_exclude_);
 
   w.varint(engines_.size());
   for (const auto& [key, engine] : engines_) engine->fingerprint(w);
@@ -1015,9 +895,7 @@ void Replica::fingerprint(Writer& w) const {
     w.bytes(BytesView(data.data(), data.size()));
   }
 
-  pofs_.fingerprint(w);
-  w.varint(pending_pofs_.size());
-  for (const auto& pof : pending_pofs_) pof.encode(w);
+  membership_.fingerprint(w);
 
   w.varint(catchup_votes_.size());
   for (const auto& [digest, voters] : catchup_votes_) {

@@ -15,6 +15,7 @@
 #include <memory>
 #include <set>
 
+#include "asmr/membership.hpp"
 #include "asmr/payload.hpp"
 #include "bm/block_manager.hpp"
 #include "chain/mempool.hpp"
@@ -151,7 +152,9 @@ class Replica : public sim::Process {
     return committee_;
   }
   [[nodiscard]] const ReplicaMetrics& metrics() const { return metrics_; }
-  [[nodiscard]] const consensus::PofStore& pofs() const { return pofs_; }
+  [[nodiscard]] const consensus::PofStore& pofs() const {
+    return membership_.pofs();
+  }
   [[nodiscard]] bm::BlockManager& block_manager() { return bm_; }
   [[nodiscard]] const bm::BlockManager& block_manager() const { return bm_; }
   /// First regular instance not yet applied to the ledger (commit order
@@ -167,7 +170,7 @@ class Replica : public sim::Process {
   [[nodiscard]] const DecisionRecord* decision(std::uint32_t epoch,
                                                InstanceId index) const;
   [[nodiscard]] const std::vector<ReplicaId>& excluded() const {
-    return excluded_ids_;
+    return membership_.excluded();
   }
   /// Debug/test access to a live engine (nullptr if absent).
   [[nodiscard]] const consensus::SbcEngine* engine(
@@ -211,16 +214,12 @@ class Replica : public sim::Process {
   void replay_pending();
   void handle_decision_msg(const consensus::DecisionMsg& msg);
   void handle_evidence(const consensus::EvidenceMsg& msg);
-  void handle_pof_gossip(BytesView body);
   void handle_catchup(ReplicaId from, Reader& r);
   void observe_vote(const consensus::SignedVote& vote);
   void note_new_pofs();
   void maybe_start_membership();
   void send_catchup(ReplicaId to);
   void commit_outcome(const Key& key, Engine& engine);
-  void broadcast_to_members(const std::vector<ReplicaId>& dests,
-                            const Bytes& data, std::uint32_t units,
-                            std::uint64_t extra);
   [[nodiscard]] std::size_t confirm_threshold() const;
   [[nodiscard]] std::uint32_t tx_verify_units(std::uint32_t tx_count) const;
   [[nodiscard]] std::uint64_t decision_cert_wire() const;
@@ -236,7 +235,6 @@ class Replica : public sim::Process {
   consensus::Committee committee_;
   std::vector<ReplicaId> epoch_members_;  ///< snapshot for the current epoch
   std::vector<ReplicaId> pool_;
-  std::vector<ReplicaId> excluded_ids_;   ///< everyone excluded so far
 
   std::map<Key, std::unique_ptr<Engine>> engines_;
   std::set<Key> tombstones_;  ///< pruned instances must never be re-run
@@ -248,12 +246,7 @@ class Replica : public sim::Process {
   InstanceId next_index_ = 0;
   bool instance_running_ = false;
 
-  // Membership change state (Alg. 1).
-  consensus::PofStore pofs_;
-  bool membership_running_ = false;
-  consensus::Committee exclusion_live_;   ///< C′, shrinks at runtime
-  std::vector<ReplicaId> cons_exclude_;   ///< culprits decided by exclusion
-  std::vector<consensus::ProofOfFraud> pending_pofs_;
+  Membership membership_;  ///< Alg. 1 state and decisions
 
   // Catch-up (standby -> active).
   std::map<crypto::Hash32, std::set<ReplicaId>> catchup_votes_;

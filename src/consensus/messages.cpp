@@ -112,6 +112,15 @@ crypto::Hash32 DecisionMsg::decision_digest() const {
   return crypto::sha256(BytesView(w.data().data(), w.data().size()));
 }
 
+std::map<std::uint32_t, crypto::Hash32> DecisionMsg::digest_by_slot() const {
+  std::map<std::uint32_t, crypto::Hash32> out;
+  std::size_t di = 0;
+  for (std::uint32_t s = 0; s < bitmask.size() && di < digests.size(); ++s) {
+    if (bitmask[s] == 1) out[s] = digests[di++];
+  }
+  return out;
+}
+
 void DecisionMsg::encode(Writer& w) const {
   w.u32(sender);
   key.encode(w);

@@ -6,6 +6,7 @@
 // EST equivocation is NOT punishable and never used for PoFs.
 #pragma once
 
+#include <map>
 #include <optional>
 
 #include "chain/block.hpp"
@@ -176,6 +177,8 @@ struct DecisionMsg {
 
   [[nodiscard]] Bytes summary_bytes() const;
   [[nodiscard]] crypto::Hash32 decision_digest() const;
+  /// Digest of each decided-1 slot: `digests` lists them in slot order.
+  [[nodiscard]] std::map<std::uint32_t, crypto::Hash32> digest_by_slot() const;
   void encode(Writer& w) const;
   [[nodiscard]] static DecisionMsg decode(Reader& r);
 };

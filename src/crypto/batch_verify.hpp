@@ -10,9 +10,12 @@
 // write-disjoint (each pool task fills results[i] for its own indices
 // only), so no lock is needed or held here. Because verify_all() runs
 // inside ThreadPool::parallel_for, a caller holding a lock across it
-// must place that lock ABOVE ThreadPool::mu_ in the lock order (LiveNode
-// documents decisions_mutex_ > ThreadPool::mu_ for exactly this call
-// path) and must never take the same lock from a pool task.
+// must place that lock ABOVE ThreadPool::mu_ in the lock order and must
+// never take the same lock from a pool task. LiveNode's batch
+// verification runs on the commit pipeline's verifier thread with no
+// LiveNode lock held; its documented order is decisions_mutex_ >
+// ledger_mutex_ > pipeline internals (CommitPipeline::mu_,
+// ThreadPool::mu_).
 #pragma once
 
 #include <cstdint>

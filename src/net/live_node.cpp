@@ -467,10 +467,12 @@ void LiveNode::queue_payload(Bytes payload) {
   queued_payloads_.push_back(std::move(payload));
 }
 
-std::int64_t LiveNode::ms_since_start() const {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                               run_start_)
-      .count();
+void LiveNode::stamp_phase(std::int64_t ReconfigStats::*phase) {
+  const common::MutexLock lock(decisions_mutex_);
+  if (reconfig_.*phase >= 0) return;
+  reconfig_.*phase = std::chrono::duration_cast<std::chrono::milliseconds>(
+                         Clock::now() - run_start_)
+                         .count();
 }
 
 std::optional<std::uint32_t> LiveNode::epoch_of(InstanceId k) const {
@@ -578,7 +580,7 @@ LiveNode::Engine* LiveNode::get_or_create(InstanceId k) {
   // otherwise resurrect an old-epoch zombie at an index the NEW epoch
   // must re-run, and with engines keyed by index the new-epoch engine
   // could then never exist: the cluster wedges on that instance.
-  if (membership_running_) return nullptr;
+  if (membership_.running()) return nullptr;
 
   const auto eo = epoch_of(k);
   // A standby has no membership knowledge below its join boundary —
@@ -626,7 +628,7 @@ LiveNode::Engine* LiveNode::get_or_create(InstanceId k) {
     tracer_->mark(e, k, obs::Phase::kDeliver);
   };
   if (config_.reconfiguration) {
-    hooks.observe = [this](const SignedVote& v) { observe_vote(v); };
+    hooks.observe = [this](const SignedVote& v) { membership_.observe(v); };
   }
   auto engine = std::make_unique<Engine>(key, members, &epoch_live_.at(e),
                                          config_.me, *scheme_, ec,
@@ -656,7 +658,7 @@ LiveNode::Engine* LiveNode::get_or_create(InstanceId k) {
   const InstanceId frontier =
       std::max(current_, epoch_spans_.empty() ? InstanceId{0}
                                               : epoch_spans_.back().first);
-  if (active_ && !membership_running_ && k >= current_ &&
+  if (active_ && !membership_.running() && k >= current_ &&
       k < frontier + kProposeAheadWindow) {
     raw->propose(payload_for(k, /*drain_mempool=*/k < current_ + drain_window),
                  /*extra_wire=*/0, /*tx_count=*/1, /*verify_units=*/1);
@@ -666,7 +668,7 @@ LiveNode::Engine* LiveNode::get_or_create(InstanceId k) {
 }
 
 void LiveNode::start_instance(InstanceId k) {
-  if (!active_ || membership_running_) return;
+  if (!active_ || membership_.running()) return;
   Engine* engine = get_or_create(k);
   if (engine == nullptr || engine->has_decided() || engine->has_proposed()) {
     return;
@@ -725,8 +727,7 @@ void LiveNode::on_decided(InstanceId k) {
     // If our own slot lost its binary consensus (the proposal raced the
     // zero-phase), the drained transactions must go back into the
     // mempool for the next block — clients got an ACK for them.
-    const auto proposed = proposed_txs_.find(k);
-    if (proposed != proposed_txs_.end()) {
+    if (proposed_txs_.count(k) != 0) {
       const consensus::Committee com(epoch_members_.at(engine->epoch()));
       const int my_slot = com.slot_of(config_.me);
       const auto& bitmask = engine->bitmask();
@@ -734,16 +735,8 @@ void LiveNode::on_decided(InstanceId k) {
                             static_cast<std::size_t>(my_slot) <
                                 bitmask.size() &&
                             bitmask[static_cast<std::size_t>(my_slot)] == 1;
-      if (!included) {
-        const common::MutexLock lock(decisions_mutex_);
-        const common::MutexLock ledger(ledger_mutex_);
-        for (auto& tx : proposed->second) {
-          // readmit: these were ACKed at admission; the capacity bound
-          // must not silently drop them now.
-          if (!bm_.knows_tx(tx.id())) (void)mempool_.readmit(tx);
-        }
-      }
-      proposed_txs_.erase(proposed);
+      if (!included) requeue_proposed(k);
+      proposed_txs_.erase(k);
     }
     if (maybe_checkpoint()) {
       tracer_->mark(engine->epoch(), k, obs::Phase::kCheckpoint);
@@ -757,8 +750,8 @@ void LiveNode::on_decided(InstanceId k) {
   // needed for PoF extraction (live equivocation was observed live),
   // and without the prune the store grows O(chain). The floor keeps
   // straggler votes from resurrecting what was just pruned.
-  pofs_.prune_instance(engine->key());
-  pofs_.set_log_floor(decision_floor());
+  membership_.pofs().prune_instance(engine->key());
+  membership_.pofs().set_log_floor(decision_floor());
   LiveDecision d;
   d.index = k;
   d.epoch = engine->epoch();
@@ -788,17 +781,13 @@ void LiveNode::on_decided(InstanceId k) {
   // Advance past every already-decided index and propose in the next
   // open instance (instances can decide out of order when a quorum
   // finishes without our proposal).
-  while (current_ < config_.instances) {
-    const auto it = engines_.find(current_);
-    if (it == engines_.end() || !it->second->has_decided()) break;
-    ++current_;
-  }
-  if (membership_running_) return;  // resumes after the epoch switch
+  current_ = decision_floor();
+  if (membership_.running()) return;  // resumes after the epoch switch
   if (current_ < config_.instances) {
     if (config_.real_blocks && config_.block_interval > Duration::zero()) {
       // Give clients a window to fill the next block.
       loop_.schedule(config_.block_interval, [this]() {
-        if (!membership_running_) start_window();
+        if (!membership_.running()) start_window();
       });
     } else {
       start_window();
@@ -867,8 +856,8 @@ void LiveNode::requeue_proposed(InstanceId k) {
     const common::MutexLock lock(decisions_mutex_);
     const common::MutexLock ledger(ledger_mutex_);
     for (auto& tx : it->second) {
-      // Clients were ACKed at admission; the teardown of an engine
-      // whose proposal never decided must not silently drop them.
+      // readmit: clients were ACKed at admission; the capacity bound
+      // must not silently drop them now.
       if (!bm_.knows_tx(tx.id())) (void)mempool_.readmit(tx);
     }
   }
@@ -909,7 +898,7 @@ void LiveNode::record_decision_msg(InstanceId k, Engine& engine) {
     cert.round = dbg.decided_round;
     cert.value = dbg.decided_value;
     std::set<ReplicaId> seen;
-    for (const auto& vote : pofs_.votes_for(engine.key(), s)) {
+    for (const auto& vote : membership_.pofs().votes_for(engine.key(), s)) {
       if (vote.body.type != consensus::VoteType::kAux) continue;
       if (vote.body.round != dbg.decided_round) continue;
       if (vote.body.value.size() != 1 ||
@@ -946,17 +935,7 @@ void LiveNode::handle_decision_msg(ReplicaId from,
   const std::size_t quorum = lit->second.quorum();
   Engine* engine = get_or_create(k);
   if (engine == nullptr || engine->has_decided()) return;
-  // Decided-1 slots consume the digest list in slot order (the wire
-  // layout the simulator's conflict detection uses too).
-  std::map<std::uint32_t, crypto::Hash32> digest_of;
-  {
-    std::size_t di = 0;
-    for (std::uint32_t s = 0; s < msg.bitmask.size(); ++s) {
-      if (msg.bitmask[s] == 1 && di < msg.digests.size()) {
-        digest_of[s] = msg.digests[di++];
-      }
-    }
-  }
+  const auto digest_of = msg.digest_by_slot();
   for (const auto& cert : msg.certs) {
     if (cert.slot >= engine->slot_count()) continue;
     const std::uint8_t summary_value =
@@ -993,31 +972,22 @@ void LiveNode::handle_decision_msg(ReplicaId from,
   }
 }
 
-void LiveNode::observe_vote(const SignedVote& vote) {
-  auto pof = pofs_.observe(vote);
-  if (pof.has_value()) pending_pofs_.push_back(*pof);
-}
-
 void LiveNode::note_new_pofs() {
-  if (pending_pofs_.empty()) return;
-  std::vector<ProofOfFraud> fresh;
-  for (auto& pof : pending_pofs_) {
-    if (pofs_.add_pof(pof)) fresh.push_back(pof);
-  }
-  pending_pofs_.clear();
+  if (!membership_.has_pending()) return;
+  const auto reg = membership_.register_pending();
   {
     const common::MutexLock lock(decisions_mutex_);
-    reconfig_.pof_culprits = pofs_.culprit_count();
+    reconfig_.pof_culprits = membership_.pofs().culprit_count();
   }
   if (!config_.reconfiguration) return;
 
-  if (!fresh.empty() && active_) {
+  if (!reg.fresh.empty() && active_) {
     // Alg. 1 line 26: rebroadcast the new PoFs — the unblocker that
     // spreads detection past whatever partition of observations each
     // replica happened to make.
     Writer w;
     w.u8(static_cast<std::uint8_t>(MsgTag::kPofGossip));
-    w.raw(consensus::encode_pofs(fresh));
+    w.raw(consensus::encode_pofs(reg.fresh));
     const Bytes msg = w.take();
     for (ReplicaId member : epoch_members_.at(epoch_)) {
       if (member != config_.me) {
@@ -1025,46 +995,32 @@ void LiveNode::note_new_pofs() {
       }
     }
   }
-
-  if (membership_running_) {
-    // Alg. 1 lines 23-27: shrink C′ and re-check thresholds at runtime.
-    std::vector<ReplicaId> to_remove;
-    for (ReplicaId m : exclusion_live_.members()) {
-      if (pofs_.is_culprit(m)) to_remove.push_back(m);
-    }
-    if (!to_remove.empty()) {
-      exclusion_live_.remove(to_remove);
-      const auto it =
-          member_engines_.find(Key{epoch_, InstanceKind::kExclusion,
-                                   next_excl_index_[epoch_]});
-      if (it != member_engines_.end()) it->second->recheck();
-    }
+  if (reg.cprime_shrank) {
+    // Alg. 1 lines 23-27: re-check the exclusion against the shrunk C′.
+    const auto it = member_engines_.find(
+        Key{epoch_, InstanceKind::kExclusion, next_excl_index_[epoch_]});
+    if (it != member_engines_.end()) it->second->recheck();
   }
   maybe_start_membership();
 }
 
 void LiveNode::maybe_start_membership() {
-  if (!config_.reconfiguration || !active_ || membership_running_) return;
+  if (!config_.reconfiguration || !active_ || membership_.running()) return;
   // One membership change attempt at a time: the current exclusion
   // index's engine is the tombstone (aborted rounds advance the index,
   // re-arming the trigger under a fresh key).
   const Key excl_key{epoch_, InstanceKind::kExclusion,
                      next_excl_index_[epoch_]};
   if (member_engines_.count(excl_key) != 0) return;
-  consensus::Committee& live = live_committee();
-  std::size_t in_committee = 0;
-  for (ReplicaId id : pofs_.culprits()) {
-    if (live.contains(id)) ++in_committee;
-  }
-  if (in_committee < live.fd()) return;
-  {
-    const common::MutexLock lock(decisions_mutex_);
-    if (reconfig_.detect_ms < 0) reconfig_.detect_ms = ms_since_start();
-  }
+  if (!membership_.proven_fd(live_committee())) return;
+  stamp_phase(&ReconfigStats::detect_ms);
 
-  membership_running_ = true;
+  // Alg. 1 lines 20-22: C′ = C \ culprits; the exclusion consensus runs
+  // with the full epoch membership as the slot map.
+  const auto& members = epoch_members_.at(epoch_);
+  membership_.begin(members);
   ZLB_RTRACE("[%u] membership trigger: %zu culprits, floor=%llu",
-             config_.me, in_committee,
+             config_.me, membership_.pofs().culprit_count(),
              static_cast<unsigned long long>(decision_floor()));
   // Alg. 1 line 19: freeze the pending regular instances — nothing may
   // decide under the old committee while the exclusion runs, so the
@@ -1072,29 +1028,11 @@ void LiveNode::maybe_start_membership() {
   for (auto& [k, engine] : engines_) {
     if (!engine->has_decided()) engine->stop();
   }
-  // Alg. 1 lines 20-22: C′ = C \ culprits; start the exclusion
-  // consensus with the full epoch membership as the slot map.
-  std::vector<ReplicaId> cprime;
-  for (ReplicaId m : epoch_members_.at(epoch_)) {
-    if (!pofs_.is_culprit(m)) cprime.push_back(m);
-  }
-  exclusion_live_.reset(std::move(cprime));
   Engine* engine = create_membership_engine(excl_key);
   if (engine != nullptr) {
     ExclusionClaim claim;
     claim.ceiling = decision_ceiling();
-    // Only PoFs against CURRENT members go into the claim: the store
-    // keeps earlier epochs' culprits forever (they must stay banned
-    // from re-inclusion), but validators reject claims naming
-    // non-members — a stale PoF would invalidate the whole proposal
-    // and wedge every membership change after the first.
-    const auto& members = epoch_members_.at(epoch_);
-    for (const auto& pof : pofs_.pofs()) {
-      if (std::find(members.begin(), members.end(), pof.culprit()) !=
-          members.end()) {
-        claim.pofs.push_back(pof);
-      }
-    }
+    claim.pofs = membership_.claim_pofs(members);
     engine->propose(claim.encode(), 0, 0,
                     1 + 2 * static_cast<std::uint32_t>(claim.pofs.size()));
   }
@@ -1110,11 +1048,10 @@ LiveNode::Engine* LiveNode::create_membership_engine(const Key& key) {
   Engine::Hooks hooks;
   if (key.kind == InstanceKind::kExclusion) {
     slot_members = epoch_members_.at(key.epoch);
-    live = &exclusion_live_;
+    live = &membership_.cprime();
     hooks.validate = [this](BytesView payload) {
       try {
         const ExclusionClaim claim = ExclusionClaim::decode(payload);
-        if (claim.pofs.empty()) return false;
         // The decided max ceiling becomes the epoch boundary, so an
         // inflated claim defers the new committee's effect. Honest
         // ceilings sit near the validator's own; a proposal claiming
@@ -1127,43 +1064,25 @@ LiveNode::Engine* LiveNode::create_membership_engine(const Key& key) {
             claim.ceiling > decision_ceiling() + kCeilingSlack) {
           return false;
         }
-        const auto& members = epoch_members_.at(epoch_);
-        for (const auto& pof : claim.pofs) {
-          if (!consensus::verify_pof(pof, *scheme_)) return false;
-          if (std::find(members.begin(), members.end(), pof.culprit()) ==
-              members.end()) {
-            return false;
-          }
-        }
-        // Valid PoFs are proof in themselves: adopt them (Alg. 1 lines
-        // 13-16), deferred to the end of frame handling.
-        pending_pofs_.insert(pending_pofs_.end(), claim.pofs.begin(),
-                             claim.pofs.end());
-        return true;
+        // Valid PoFs are proof in themselves: adopted (Alg. 1 lines
+        // 13-16) at the end of frame handling.
+        return membership_.accept_claim(claim.pofs, epoch_members_.at(epoch_),
+                                        *scheme_);
       } catch (const DecodeError&) {
         return false;
       }
     };
   } else {
     // Inclusion: the post-exclusion committee is the slot map; only
-    // reachable once our exclusion decided (cons_exclude_ is set).
+    // reachable once our exclusion decided.
     slot_members = live_committee().members();
     live = &epoch_live_.at(epoch_);
     hooks.validate = [this](BytesView payload) {
       try {
         const auto ids = asmr::decode_replica_ids(payload);
-        for (ReplicaId id : ids) {
-          if (std::find(config_.pool.begin(), config_.pool.end(), id) ==
-              config_.pool.end()) {
-            return false;
-          }
-          if (live_committee().contains(id)) return false;
-          if (std::find(excluded_ids_.begin(), excluded_ids_.end(), id) !=
-              excluded_ids_.end()) {
-            return false;
-          }
-        }
-        return true;
+        return std::all_of(ids.begin(), ids.end(), [this](ReplicaId id) {
+          return membership_.includable(id, config_.pool, live_committee());
+        });
       } catch (const DecodeError&) {
         return false;
       }
@@ -1176,17 +1095,16 @@ LiveNode::Engine* LiveNode::create_membership_engine(const Key& key) {
       send_counted(member, BytesView(data.data(), data.size()));
     }
   };
-  const Key key_copy = key;
-  hooks.decided = [this, key_copy]() {
-    const auto eit = member_engines_.find(key_copy);
+  hooks.decided = [this, key]() {
+    const auto eit = member_engines_.find(key);
     if (eit == member_engines_.end()) return;
-    if (key_copy.kind == InstanceKind::kExclusion) {
-      on_exclusion_decided(key_copy, *eit->second);
+    if (key.kind == InstanceKind::kExclusion) {
+      on_exclusion_decided(key, *eit->second);
     } else {
-      on_inclusion_decided(key_copy, *eit->second);
+      on_inclusion_decided(key, *eit->second);
     }
   };
-  hooks.observe = [this](const SignedVote& v) { observe_vote(v); };
+  hooks.observe = [this](const SignedVote& v) { membership_.observe(v); };
 
   Engine::Config ec = config_.engine;
   ec.epoch = key.epoch;
@@ -1198,45 +1116,37 @@ LiveNode::Engine* LiveNode::create_membership_engine(const Key& key) {
 }
 
 void LiveNode::on_exclusion_decided(const Key& key, Engine& engine) {
-  if (!cons_exclude_.empty()) return;  // already handled
-  std::set<ReplicaId> culprits;
+  std::vector<std::vector<ProofOfFraud>> decided;
   InstanceId boundary = 0;
   for (const auto& entry : engine.outcome()) {
     try {
-      const ExclusionClaim claim = ExclusionClaim::decode(
+      ExclusionClaim claim = ExclusionClaim::decode(
           BytesView(entry.payload.data(), entry.payload.size()));
       boundary = std::max(boundary, claim.ceiling);
-      for (const auto& pof : claim.pofs) {
-        pofs_.add_pof(pof);
-        culprits.insert(pof.culprit());
-      }
+      decided.push_back(std::move(claim.pofs));
     } catch (const DecodeError&) {
       continue;
     }
   }
-  for (ReplicaId id : epoch_members_.at(epoch_)) {
-    if (culprits.count(id) != 0) cons_exclude_.push_back(id);
+  if (!membership_.decide_exclusion(decided, epoch_members_.at(epoch_))) {
+    return;  // already handled
   }
-  if (cons_exclude_.empty()) {
+  const std::vector<ReplicaId>& cons_exclude = membership_.cons_exclude();
+  if (cons_exclude.empty()) {
     // Nothing provably in the committee decided out: abort the change
     // and let the frozen instances continue. The decided all-zero
     // engine stays as THIS round's tombstone; the retry runs at the
     // next exclusion index so the trigger re-arms under a fresh
     // signing context (every replica that decided this round computes
     // the same next index, so the retry converges).
-    membership_running_ = false;
+    membership_.abort();
     next_excl_index_[key.epoch] =
         std::max(next_excl_index_[key.epoch], key.index + 1);
-    for (auto& [k2, e] : engines_) {
-      if (!e->has_decided()) {
-        e->resume();
-        e->recheck();
-      }
-    }
+    resume_undecided();
     // The pipeline must restart here too: the start_instance the
-    // trigger swallowed (membership_running_ guard) is not coming
-    // back, and if every replica froze before proposing the cursor
-    // instance, nobody would ever open it again.
+    // trigger swallowed (Γ.stop window) is not coming back, and if
+    // every replica froze before proposing the cursor instance,
+    // nobody would ever open it again.
     if (current_ < config_.instances) start_instance(current_);
     // Still fd proven culprits in the committee? Retry immediately.
     maybe_start_membership();
@@ -1250,107 +1160,51 @@ void LiveNode::on_exclusion_decided(const Key& key, Engine& engine) {
   boundary = std::max(boundary, settled_floor_);
   pending_boundary_ = boundary;
   ZLB_RTRACE("[%u] exclusion decided: %zu culprits, boundary=%llu",
-             config_.me, cons_exclude_.size(),
+             config_.me, cons_exclude.size(),
              static_cast<unsigned long long>(boundary));
-  {
-    const common::MutexLock lock(decisions_mutex_);
-    if (reconfig_.exclude_ms < 0) reconfig_.exclude_ms = ms_since_start();
-  }
+  stamp_phase(&ReconfigStats::exclude_ms);
 
   // Alg. 1 line 40 + lines 23-25 retroactively: the coalition leaves
   // EVERY epoch's live committee, so stalled old-epoch instances can
   // decide among the honest remainder.
-  for (auto& [e, com] : epoch_live_) com.remove(cons_exclude_);
-  exclusion_live_.remove(cons_exclude_);
+  for (auto& [e, com] : epoch_live_) com.remove(cons_exclude);
 
   // Instances at/above the boundary re-run under the new epoch: their
   // frozen old-epoch engines are tombstones now. Below the boundary the
   // old epochs finish — resume and re-check against the shrunk live
   // committees (quorums are reachable honest-only from here).
-  for (auto it = engines_.begin(); it != engines_.end();) {
-    if (it->first >= boundary && !it->second->has_decided()) {
-      requeue_proposed(it->first);
-      tracer_->abandon(it->second->epoch(), it->first);
-      it = engines_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto& [k, e] : engines_) {
-    if (!e->has_decided()) {
-      e->resume();
-      e->recheck();
-    }
-  }
+  drop_superseded(boundary, epoch_ + 1);
+  resume_undecided();
 
   // Alg. 1 lines 41-42: inclusion consensus among the survivors.
   Engine* inclusion =
       create_membership_engine(Key{epoch_, InstanceKind::kInclusion, 0});
   if (inclusion != nullptr && !inclusion->has_decided()) {
-    // pool.take(|cons-exclude|), offset by our slot so proposals differ
-    // across replicas and choose() can spread the inclusions evenly.
-    std::vector<ReplicaId> candidates;
-    for (ReplicaId id : config_.pool) {
-      if (!live_committee().contains(id) &&
-          std::find(excluded_ids_.begin(), excluded_ids_.end(), id) ==
-              excluded_ids_.end()) {
-        candidates.push_back(id);
-      }
-    }
-    std::vector<ReplicaId> prop;
-    if (!candidates.empty()) {
-      const int my_slot = std::max(0, live_committee().slot_of(config_.me));
-      const std::size_t want =
-          std::min(cons_exclude_.size(), candidates.size());
-      const std::size_t start =
-          (static_cast<std::size_t>(my_slot) * want) % candidates.size();
-      for (std::size_t i = 0; i < want; ++i) {
-        prop.push_back(candidates[(start + i) % candidates.size()]);
-      }
-    }
-    inclusion->propose(asmr::encode_replica_ids(prop), 0, 0, 1);
+    inclusion->propose(asmr::encode_replica_ids(membership_.inclusion_proposal(
+                           config_.pool, live_committee(), config_.me)),
+                       0, 0, 1);
   }
   drain_membership_stash();
 }
 
 void LiveNode::on_inclusion_decided(const Key& /*key*/, Engine& engine) {
-  if (!membership_running_) return;  // already switched
-  std::vector<std::vector<ReplicaId>> proposals;
-  for (const auto& entry : engine.outcome()) {
-    try {
-      proposals.push_back(asmr::decode_replica_ids(
-          BytesView(entry.payload.data(), entry.payload.size())));
-    } catch (const DecodeError&) {
-      continue;
-    }
-  }
-  std::unordered_set<ReplicaId> banned(epoch_members_.at(epoch_).begin(),
-                                       epoch_members_.at(epoch_).end());
-  banned.insert(excluded_ids_.begin(), excluded_ids_.end());
+  const std::size_t excluded_now = membership_.cons_exclude().size();
   const auto chosen =
-      asmr::choose_inclusion(cons_exclude_.size(), proposals, banned);
+      membership_.decide_inclusion(engine.outcome(), epoch_members_.at(epoch_));
+  if (!chosen.has_value()) return;  // already switched
 
-  excluded_ids_.insert(excluded_ids_.end(), cons_exclude_.begin(),
-                       cons_exclude_.end());
   std::vector<ReplicaId> members = live_committee().members();
-  members.insert(members.end(), chosen.begin(), chosen.end());
+  members.insert(members.end(), chosen->begin(), chosen->end());
   members = sorted_unique(members);
-
+  const std::vector<ReplicaId> excluded = sorted_unique(membership_.excluded());
   const std::uint32_t new_epoch = epoch_ + 1;
-  epoch_members_[new_epoch] = members;
-  epoch_live_.emplace(new_epoch, consensus::Committee(members));
-  epoch_ = new_epoch;
-  epoch_atomic_.store(new_epoch);
-  epoch_spans_.push_back({pending_boundary_, new_epoch});
-  membership_running_ = false;
+  install_epoch(new_epoch, pending_boundary_, members);
   {
     const common::MutexLock lock(decisions_mutex_);
-    committee_snapshot_ = members;
-    reconfig_.epoch = new_epoch;
-    reconfig_.excluded += cons_exclude_.size();
-    reconfig_.included += chosen.size();
-    if (reconfig_.include_ms < 0) reconfig_.include_ms = ms_since_start();
+    reconfig_.excluded += excluded_now;
+    reconfig_.included += chosen->size();
   }
+  stamp_phase(&ReconfigStats::include_ms);
   {
     // The boundary enters the WAL before any new-epoch block can: blocks
     // of the new epoch only commit after instances past the boundary
@@ -1358,8 +1212,8 @@ void LiveNode::on_inclusion_decided(const Key& /*key*/, Engine& engine) {
     // serializes this record against every pipeline journal write. A
     // restart must never replay epoch-e+1 blocks into an epoch-0 view.
     const common::MutexLock ledger(ledger_mutex_);
-    (void)bm_.journal_epoch(chain::EpochRecord{
-        new_epoch, pending_boundary_, members, sorted_unique(excluded_ids_)});
+    (void)bm_.journal_epoch(
+        chain::EpochRecord{new_epoch, pending_boundary_, members, excluded});
   }
 
   // Membership takes effect below the consensus too: excluded links go
@@ -1373,7 +1227,7 @@ void LiveNode::on_inclusion_decided(const Key& /*key*/, Engine& engine) {
   announce.epoch = new_epoch;
   announce.start_index = pending_boundary_;
   announce.members = members;
-  announce.excluded = sorted_unique(excluded_ids_);
+  announce.excluded = excluded;
   const Bytes sb = announce.signing_bytes();
   announce.signature =
       scheme_->sign(config_.me, BytesView(sb.data(), sb.size()));
@@ -1383,26 +1237,65 @@ void LiveNode::on_inclusion_decided(const Key& /*key*/, Engine& engine) {
   // its trusted signer set fossilizes at epoch 0 and a LATER admission
   // could never gather t+1 signatures it recognizes.
   for (ReplicaId id : config_.pool) {
-    if (id == config_.me) continue;
-    if (std::find(excluded_ids_.begin(), excluded_ids_.end(), id) !=
-        excluded_ids_.end()) {
+    if (id == config_.me ||
+        std::binary_search(excluded.begin(), excluded.end(), id)) {
       continue;
     }
     send_epoch_announce(id);
   }
 
-  cons_exclude_.clear();
   ZLB_RTRACE("[%u] inclusion decided: epoch=%u start=%llu members=%zu",
              config_.me, epoch_,
              static_cast<unsigned long long>(pending_boundary_),
-             epoch_members_.at(epoch_).size());
+             members.size());
   // Defensive sweep: any undecided old-epoch engine at/above the
   // boundary is a zombie squatting on an index the new epoch must
   // re-run (get_or_create refuses to create them during the change,
   // but the invariant is load-bearing — enforce it here too).
-  for (auto it = engines_.lower_bound(pending_boundary_);
-       it != engines_.end();) {
-    if (!it->second->has_decided() && it->second->epoch() != epoch_) {
+  drop_superseded(pending_boundary_, epoch_);
+  // Alg. 1 line 49: resume the regular pipeline — the old-epoch tail
+  // first (its engines were resumed at exclusion), then the new epoch
+  // from the boundary.
+  current_ = decision_floor();
+  if (current_ < config_.instances) start_instance(current_);
+  stamp_phase(&ReconfigStats::resume_ms);
+  drain_membership_stash();
+}
+
+void LiveNode::install_epoch(std::uint32_t e, InstanceId start,
+                             const std::vector<ReplicaId>& members) {
+  // The cumulative exclusion list is authoritative for every older
+  // epoch: their stalled tails still finish among the honest remainder.
+  for (auto& [older, com] : epoch_live_) {
+    if (older < e) com.remove(membership_.excluded());
+  }
+  epoch_members_[e] = members;
+  auto [lit, inserted] = epoch_live_.emplace(e, consensus::Committee(members));
+  if (!inserted) lit->second.reset(members);
+  epoch_spans_.push_back({start, e});
+  epoch_ = std::max(epoch_, e);
+  epoch_atomic_.store(epoch_);
+  {
+    const common::MutexLock lock(decisions_mutex_);
+    reconfig_.epoch = epoch_;
+    committee_snapshot_ = members;
+  }
+  // A pool replica tracks every change but only becomes a member when
+  // the inclusion named it; history below its join boundary arrives as
+  // a snapshot (it was never a member there). This is also the only
+  // activation path for an admitted standby restarting from its
+  // journal: re-announcements of an epoch it already has are ignored.
+  if (!active_ &&
+      std::find(members.begin(), members.end(), config_.me) != members.end()) {
+    active_ = true;
+    active_atomic_.store(true);
+    join_floor_ = start;
+  }
+}
+
+void LiveNode::drop_superseded(InstanceId boundary, std::uint32_t e) {
+  for (auto it = engines_.lower_bound(boundary); it != engines_.end();) {
+    if (!it->second->has_decided() && it->second->epoch() != e) {
       requeue_proposed(it->first);
       tracer_->abandon(it->second->epoch(), it->first);
       it = engines_.erase(it);
@@ -1410,29 +1303,24 @@ void LiveNode::on_inclusion_decided(const Key& /*key*/, Engine& engine) {
       ++it;
     }
   }
-  // Alg. 1 line 49: resume the regular pipeline — the old-epoch tail
-  // first (its engines were resumed at exclusion), then the new epoch
-  // from the boundary.
-  while (current_ < config_.instances) {
-    const auto it = engines_.find(current_);
-    if (it == engines_.end() || !it->second->has_decided()) break;
-    ++current_;
+}
+
+void LiveNode::resume_undecided() {
+  for (auto& [k, engine] : engines_) {
+    if (!engine->has_decided()) {
+      engine->resume();
+      engine->recheck();
+    }
   }
-  if (current_ < config_.instances) start_instance(current_);
-  {
-    const common::MutexLock lock(decisions_mutex_);
-    if (reconfig_.resume_ms < 0) reconfig_.resume_ms = ms_since_start();
-  }
-  drain_membership_stash();
 }
 
 void LiveNode::retarget_transport() {
-  // excluded_ids_ covers this change's cons_exclude_ (merged before the
-  // call) AND everyone excluded in earlier epochs — the restart path
-  // re-runs this after journal recovery, where only excluded_ids_
+  // The excluded set covers this change's cons-exclude (merged before
+  // the call) AND everyone excluded in earlier epochs — the restart path
+  // re-runs this after journal recovery, where only the excluded set
   // survives, and the "links down for good" invariant must hold there
   // too.
-  for (ReplicaId id : excluded_ids_) transport_.remove_peer(id);
+  for (ReplicaId id : membership_.excluded()) transport_.remove_peer(id);
   for (ReplicaId id : epoch_members_.at(epoch_)) {
     if (id == config_.me || transport_.knows_peer(id)) continue;
     const auto it = all_ports_.find(id);
@@ -1520,56 +1408,26 @@ void LiveNode::handle_epoch_announce(ReplicaId from,
 
 void LiveNode::adopt_epoch(const EpochAnnounceMsg& msg) {
   if (msg.epoch <= epoch_ && active_) return;
+  const bool was_standby = !active_;
   const std::vector<ReplicaId> members = sorted_unique(msg.members);
-  epoch_members_[msg.epoch] = members;
-  auto [lit, inserted] =
-      epoch_live_.emplace(msg.epoch, consensus::Committee(members));
-  if (!inserted) lit->second.reset(members);
-  epoch_ = msg.epoch;
-  epoch_atomic_.store(msg.epoch);
-  epoch_spans_.push_back({msg.start_index, msg.epoch});
-  excluded_ids_ = sorted_unique(msg.excluded);
   // A change we were not part of finished without us; whatever local
   // membership state was in flight is overtaken.
-  membership_running_ = false;
-  cons_exclude_.clear();
-  {
-    const common::MutexLock lock(decisions_mutex_);
-    committee_snapshot_ = members;
-    reconfig_.epoch = msg.epoch;
-    if (reconfig_.include_ms < 0) reconfig_.include_ms = ms_since_start();
-  }
+  membership_.adopt(msg.excluded);
+  install_epoch(msg.epoch, msg.start_index, members);
+  stamp_phase(&ReconfigStats::include_ms);
   {
     const common::MutexLock ledger(ledger_mutex_);
-    (void)bm_.journal_epoch(chain::EpochRecord{msg.epoch, msg.start_index,
-                                               members, excluded_ids_});
+    (void)bm_.journal_epoch(chain::EpochRecord{
+        msg.epoch, msg.start_index, members, membership_.excluded()});
   }
   // Undecided engines keyed to superseded epochs at/after the boundary
   // are tombstones (their instances re-run under the new committee).
-  for (auto it = engines_.lower_bound(msg.start_index);
-       it != engines_.end();) {
-    if (!it->second->has_decided() && it->second->epoch() != msg.epoch) {
-      requeue_proposed(it->first);
-      tracer_->abandon(it->second->epoch(), it->first);
-      it = engines_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // The old-epoch tail below the boundary must still finish — among
-  // the honest remainder. Apply the exclusions to every older epoch's
-  // live committee and wake whatever our own (possibly never-decided)
-  // membership attempt froze: without this a veteran healed by
+  // The old-epoch tail below it must still finish among the honest
+  // remainder: wake whatever our own (possibly never-decided)
+  // membership attempt froze — without this a veteran healed by
   // announcement wedges on the instances it stopped at its trigger.
-  for (auto& [e, com] : epoch_live_) {
-    if (e < msg.epoch) com.remove(excluded_ids_);
-  }
-  for (auto& [k, engine] : engines_) {
-    if (!engine->has_decided()) {
-      engine->resume();
-      engine->recheck();
-    }
-  }
+  drop_superseded(msg.start_index, msg.epoch);
+  resume_undecided();
   retarget_transport();
   // Make the change re-announceable from here too: the original
   // announcers may be gone by the time a laggard surfaces, and we just
@@ -1586,25 +1444,12 @@ void LiveNode::adopt_epoch(const EpochAnnounceMsg& msg) {
   ZLB_RTRACE("[%u] adopt_epoch: epoch=%u start=%llu (was standby=%d)",
              config_.me, msg.epoch,
              static_cast<unsigned long long>(msg.start_index),
-             active_ ? 0 : 1);
-  // A pool replica adopts every change — tracking the committee's
-  // evolution keeps its trusted signer set current for FUTURE
-  // announces — but only becomes a member when the inclusion actually
-  // named it. History below its join boundary arrives as a snapshot
-  // (it was never a member there); refuse anything older.
-  if (!active_ &&
-      std::find(members.begin(), members.end(), config_.me) !=
-          members.end()) {
-    active_ = true;
-    active_atomic_.store(true);
-    join_floor_ = msg.start_index;
-  }
+             was_standby ? 1 : 0);
   // Participate from wherever our floor stands; the consensus traffic
   // for the new epoch creates engines on demand.
-  if (!membership_running_ && current_ < config_.instances) {
+  if (!membership_.running() && current_ < config_.instances) {
     start_instance(std::max(current_, decision_floor()));
-    const common::MutexLock lock(decisions_mutex_);
-    if (reconfig_.resume_ms < 0) reconfig_.resume_ms = ms_since_start();
+    stamp_phase(&ReconfigStats::resume_ms);
   }
   // Stale stashed membership frames of the superseded epochs drain
   // away here (route_engine now drops them); anything for the adopted
@@ -1614,38 +1459,13 @@ void LiveNode::adopt_epoch(const EpochAnnounceMsg& msg) {
 
 void LiveNode::recover_epoch_record(const chain::EpochRecord& rec) {
   if (rec.epoch == 0 || rec.members.empty()) return;
-  const std::vector<ReplicaId> members = sorted_unique(rec.members);
   // The record's cumulative exclusion list is authoritative — it
   // survives gapped histories (epochs slept through or compacted away)
-  // where a members-diff against epoch-1 would miss bans. Older
-  // epochs' live committees shrink by the same set, so their tail can
-  // still decide honest-only.
-  excluded_ids_.insert(excluded_ids_.end(), rec.excluded.begin(),
-                       rec.excluded.end());
-  excluded_ids_ = sorted_unique(excluded_ids_);
-  for (auto& [e, com] : epoch_live_) {
-    if (e < rec.epoch) com.remove(excluded_ids_);
-  }
-  epoch_members_[rec.epoch] = members;
-  auto [lit, inserted] =
-      epoch_live_.emplace(rec.epoch, consensus::Committee(members));
-  if (!inserted) lit->second.reset(members);
-  epoch_spans_.push_back({rec.start_index, rec.epoch});
-  epoch_ = std::max(epoch_, rec.epoch);
-  epoch_atomic_.store(epoch_);
-  // Called under decisions_mutex_ (the journal-replay block in run()).
-  reconfig_.epoch = epoch_;
-  committee_snapshot_ = members;
-  // An admitted standby that journaled its activation must come back
-  // as a MEMBER: the epoch is already ours, so re-announcements are
-  // (correctly) ignored and no other activation path exists.
-  if (!active_ &&
-      std::find(members.begin(), members.end(), config_.me) !=
-          members.end()) {
-    active_ = true;
-    active_atomic_.store(true);
-    join_floor_ = rec.start_index;
-  }
+  // where a members-diff against epoch-1 would miss bans.
+  std::vector<ReplicaId> excluded = membership_.excluded();
+  excluded.insert(excluded.end(), rec.excluded.begin(), rec.excluded.end());
+  membership_.adopt(std::move(excluded));
+  install_epoch(rec.epoch, rec.start_index, sorted_unique(rec.members));
 }
 
 void LiveNode::stash_membership_frame(ReplicaId from, BytesView data) {
@@ -1662,21 +1482,6 @@ void LiveNode::drain_membership_stash() {
     on_frame(from, BytesView(bytes.data(), bytes.size()));
   }
   draining_stash_ = false;
-}
-
-void LiveNode::handle_pof_gossip(BytesView body) {
-  if (!config_.reconfiguration) return;
-  std::vector<ProofOfFraud> pofs;
-  try {
-    pofs = consensus::decode_pofs(body);
-  } catch (const DecodeError&) {
-    return;
-  }
-  for (const auto& pof : pofs) {
-    if (pofs_.is_culprit(pof.culprit())) continue;
-    if (!consensus::verify_pof(pof, *scheme_)) continue;
-    pending_pofs_.push_back(pof);
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -2141,12 +1946,23 @@ void LiveNode::on_frame(ReplicaId from, BytesView data) {
           return;
         }
         Engine* engine = route_engine(from, msg.vote.body.key, data);
-        if (engine != nullptr) engine->handle_proposal(msg);
+        if (engine != nullptr) {
+          engine->handle_proposal(msg);
+        } else if (msg.vote.body.key.kind == InstanceKind::kExclusion &&
+                   config_.reconfiguration) {
+          // Claims are self-certifying (Alg. 1 lines 13-16), as in the
+          // simulator replica: a replica that missed equivocations
+          // itself still reaches the trigger on the PoFs they carry.
+          const BytesView claim(msg.payload.data(), msg.payload.size());
+          membership_.intake(ExclusionClaim::decode(claim).pofs, *scheme_);
+        }
         break;
       }
       case MsgTag::kPofGossip: {
-        const Bytes body = r.raw(r.remaining());
-        handle_pof_gossip(BytesView(body.data(), body.size()));
+        if (config_.reconfiguration) {
+          membership_.intake(consensus::decode_pofs(data.subspan(1)),
+                             *scheme_);
+        }
         break;
       }
       case MsgTag::kEpochAnnounce: {
@@ -2259,9 +2075,10 @@ void LiveNode::run(Duration deadline) {
     // node rejoins under the committee it last decided with.
     bool restored = false;
     InstanceId restored_upto = 0;
+    std::vector<chain::EpochRecord> epoch_records;
     {
-      // Both domains: restore/open_journal mutate the ledger, while the
-      // epoch-record replay rebuilds decisions-domain membership state.
+      // Both domains: restore/open_journal mutate the ledger and fill the
+      // decisions-domain sync/replay stats.
       const common::MutexLock lock(decisions_mutex_);
       const common::MutexLock ledger(ledger_mutex_);
       if (ckpt_ != nullptr) {
@@ -2274,18 +2091,15 @@ void LiveNode::run(Duration deadline) {
       }
       if (!config_.journal_path.empty()) {
         if (const auto stats = bm_.open_journal(
-                config_.journal_path, [this](const chain::EpochRecord& rec) {
-                  // Replay runs synchronously inside the locked scope
-                  // above; the analysis cannot see a capture-crossing
-                  // lock, so re-assert it for recover_epoch_record's
-                  // REQUIRES.
-                  decisions_mutex_.assert_held();
-                  recover_epoch_record(rec);
+                config_.journal_path,
+                [&epoch_records](const chain::EpochRecord& rec) {
+                  epoch_records.push_back(rec);
                 })) {
           journal_replay_ = *stats;
         }
       }
     }
+    for (const auto& rec : epoch_records) recover_epoch_record(rec);
     if (restored) {
       settle_below(restored_upto);
       // The restored image covers everything below the watermark; the

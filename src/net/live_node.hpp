@@ -7,15 +7,15 @@
 // partial reads, signature verification and the SBC state machine.
 //
 // Scope: the ①/② pipeline (a sequence of regular SBC instances) PLUS
-// the paper's headline mechanism, live: proofs of fraud accumulate in
-// a PofStore, ⌈n/3⌉ proven culprits trigger the exclusion consensus
-// (Alg. 1), the decided coalition is cut out of every epoch's live
-// committee, the inclusion consensus admits standby replicas from a
-// configured pool, the transport tears down the excluded links and
-// raises the new ones, admitted standbys activate on t+1 matching
-// signed epoch announcements and catch up through the checkpoint
-// fetcher, and regular instances resume under epoch e+1. Epoch
-// boundaries are journaled so a restart recovers into the right
+// the paper's headline mechanism, live. Alg. 1's decisions (PoF intake,
+// the ⌈n/3⌉ trigger, C′, the exclusion outcome, the even inclusion
+// choice) are asmr::Membership, the code the simulator replica runs and
+// zlb_mc explores. Around it the node freezes and resumes engines,
+// cuts the decided coalition out of every epoch's live committee, tears
+// down excluded links and raises new ones, activates admitted standbys
+// on t+1 matching signed epoch announcements (they catch up through the
+// checkpoint fetcher) and resumes regular instances under epoch e+1.
+// Epoch boundaries are journaled so a restart recovers into the right
 // membership. Controlled cross-partition delay attacks still need the
 // deterministic simulator (src/zlb); the live fault injection here is
 // direct equivocation, which real sockets can carry.
@@ -29,12 +29,12 @@
 #include <thread>
 #include <vector>
 
+#include "asmr/membership.hpp"
 #include "bm/block_manager.hpp"
 #include "bm/commit_pipeline.hpp"
 #include "common/clock.hpp"
 #include "common/mutex.hpp"
 #include "chain/mempool.hpp"
-#include "consensus/pof.hpp"
 #include "consensus/sbc.hpp"
 #include "crypto/signer.hpp"
 #include "net/client_gateway.hpp"
@@ -405,12 +405,11 @@ class LiveNode {
   /// ahead of its engine).
   Engine* route_engine(ReplicaId from, const Key& key, BytesView frame)
       EXCLUDES(decisions_mutex_);
-  /// Re-queues the drained-but-never-decided batch of instance `k`
-  /// (client-ACKed transactions must survive the engine's teardown).
+  /// Re-queues the drained batch of instance `k` when it did not commit
+  /// (client-ACKed transactions must survive a lost slot or teardown).
   void requeue_proposed(InstanceId k) EXCLUDES(decisions_mutex_);
-  void observe_vote(const consensus::SignedVote& vote);
-  /// Registers pending PoFs, gossips fresh ones, shrinks the exclusion
-  /// committee, and triggers the membership change at fd culprits.
+  /// Registers pending PoFs, gossips fresh ones, rechecks a shrunk
+  /// exclusion, and triggers the membership change at fd culprits.
   void note_new_pofs() EXCLUDES(decisions_mutex_);
   void maybe_start_membership() EXCLUDES(decisions_mutex_);
   Engine* create_membership_engine(const Key& key);
@@ -418,7 +417,6 @@ class LiveNode {
       EXCLUDES(decisions_mutex_);
   void on_inclusion_decided(const Key& key, Engine& engine)
       EXCLUDES(decisions_mutex_);
-  void handle_pof_gossip(BytesView body);
   void handle_epoch_announce(ReplicaId from,
                              const consensus::EpochAnnounceMsg& msg);
   /// Adopts a membership change this node did not take part in (a
@@ -430,10 +428,23 @@ class LiveNode {
   /// excluded links, raises links to admitted members.
   void retarget_transport();
   void recover_epoch_record(const chain::EpochRecord& rec)
-      REQUIRES(decisions_mutex_);
+      EXCLUDES(decisions_mutex_);
+  /// Installs generation `e` from regular index `start`: slot map, live
+  /// committees, span, epoch, snapshot, an admitted standby's activation.
+  void install_epoch(std::uint32_t e, InstanceId start,
+                     const std::vector<ReplicaId>& members)
+      EXCLUDES(decisions_mutex_);
+  /// Requeues, abandons and erases the undecided engines at/above
+  /// `boundary` keyed to an epoch other than `e` (they re-run under it).
+  void drop_superseded(InstanceId boundary, std::uint32_t e)
+      EXCLUDES(decisions_mutex_);
+  /// Resumes and rechecks every undecided engine.
+  void resume_undecided();
   void stash_membership_frame(ReplicaId from, BytesView data);
   void drain_membership_stash() EXCLUDES(decisions_mutex_);
-  [[nodiscard]] std::int64_t ms_since_start() const;
+  /// First-reach stamp of a ReconfigStats phase, ms since run().
+  void stamp_phase(std::int64_t ReconfigStats::*phase)
+      EXCLUDES(decisions_mutex_);
 
   // --- observability -------------------------------------------------
   /// Registers the pull-callback metric catalogue (transport, mempool,
@@ -492,12 +503,9 @@ class LiveNode {
   /// Full id -> port universe (committee + pool), for raising links.
   std::map<ReplicaId, std::uint16_t> all_ports_;
 
-  consensus::PofStore pofs_;
-  std::vector<consensus::ProofOfFraud> pending_pofs_;
-  bool membership_running_ = false;
-  consensus::Committee exclusion_live_;  ///< C′, shrinks at runtime
-  std::vector<ReplicaId> cons_exclude_;  ///< decided by the exclusion
-  std::vector<ReplicaId> excluded_ids_;  ///< everyone excluded so far
+  /// Alg. 1's decisions (PoFs, C′, cons-exclude, the excluded set) —
+  /// the same core the simulator replica and zlb_mc run.
+  asmr::Membership membership_;
   /// First regular index of the epoch being created (max decided
   /// exclusion ceiling): instances below finish under their old epochs,
   /// instances at/above run under the new committee.

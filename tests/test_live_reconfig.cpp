@@ -9,7 +9,10 @@
 // Alg. 1 end to end over real sockets.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <thread>
+
+#include <unistd.h>
 
 #include "chain/wallet.hpp"
 #include "net/client_gateway.hpp"
@@ -127,6 +130,39 @@ TEST(LiveReconfigUnits, OutcomeEntriesCarryTheEpoch) {
       EXPECT_EQ(entry.epoch, 3u);
     }
   }
+}
+
+// Restart path: the journal's epoch-boundary records rebuild the
+// membership. An admitted standby comes back as a member of the
+// recorded committee, under the recorded epoch, with the recorded
+// exclusions banned.
+TEST(LiveReconfigUnits, JournalEpochRecordsRestoreMembership) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("zlb-live-epoch-" + std::to_string(::getpid()) + ".wal"))
+          .string();
+  std::filesystem::remove(path);
+  {
+    bm::BlockManager bm;
+    ASSERT_TRUE(bm.open_journal(path).has_value());
+    ASSERT_TRUE(bm.journal_epoch(chain::EpochRecord{1, 5, {0, 1, 2, 4}, {3}}));
+  }
+  LiveNodeConfig cfg;
+  cfg.me = 4;
+  cfg.committee = {0, 1, 2, 3};
+  cfg.pool = {4};
+  cfg.standby = true;
+  cfg.use_ecdsa = false;
+  cfg.real_blocks = true;
+  cfg.journal_path = path;
+  LiveNode node(cfg);
+  ASSERT_FALSE(node.active());
+  node.run(std::chrono::milliseconds(50));
+  EXPECT_TRUE(node.active());
+  EXPECT_EQ(node.epoch(), 1u);
+  EXPECT_EQ(node.reconfig_stats().epoch, 1u);
+  EXPECT_EQ(node.committee_members(), (std::vector<ReplicaId>{0, 1, 2, 4}));
+  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------
