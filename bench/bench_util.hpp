@@ -27,7 +27,12 @@ inline sim::NetConfig wan_net() {
   // bench/micro_crypto.cpp and README "Performance"): the fixed-base /
   // Shamir fast path brought one verification from ~595us to ~152us on
   // the calibration box, so the previously calibrated 300us shrinks by
-  // the same 3.9x factor.
+  // the same 3.9x factor. It stays anchored there although the live
+  // node now verifies committee votes through per-signer fixed-window
+  // tables (BM_EcdsaSchemeVerify, ~3x cheaper than BM_EcdsaVerify), so
+  // the modelled vote cost overstates the live one. Recalibrating it
+  // from measurement is ROADMAP item 2.3; it moves every simulated
+  // figure, so it is its own change.
   net.cpu = sim::CpuCost{5.0, 2.0, 76.0};
   return net;
 }

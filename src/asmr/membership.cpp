@@ -34,8 +34,10 @@ bool Membership::accept_claim(const std::vector<ProofOfFraud>& pofs,
                               const crypto::SignatureScheme& scheme) {
   if (pofs.empty()) return false;
   for (const auto& pof : pofs) {
-    if (!consensus::verify_pof(pof, scheme)) return false;
+    // Membership first: a claim naming an arbitrary id is refused
+    // before the scheme is asked to check a signature under it.
     if (!has(members, pof.culprit())) return false;
+    if (!consensus::verify_pof(pof, scheme)) return false;
   }
   // Deferred to the end of message handling (register_pending).
   pending_pofs_.insert(pending_pofs_.end(), pofs.begin(), pofs.end());

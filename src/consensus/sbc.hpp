@@ -154,9 +154,6 @@ class SbcEngine {
   /// when the proposer has since been excluded, nobody's own wire log
   /// can resend it; any honest holder can.
   [[nodiscard]] std::vector<Bytes> known_proposals() const;
-  /// Frees the recorded wire (once every peer is known to be past this
-  /// instance).
-  void clear_wire_log() { wire_log_.clear(); wire_log_.shrink_to_fit(); }
 
   /// Introspection for tests and debugging.
   struct SlotDebug {

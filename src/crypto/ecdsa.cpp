@@ -1,6 +1,7 @@
 #include "crypto/ecdsa.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace zlb::crypto {
 
@@ -26,6 +27,36 @@ U256 deterministic_nonce(const U256& d, const Hash32& digest,
                                BytesView(msg.data(), msg.size()));
   return normalize(U256::from_bytes(BytesView(h.data(), h.size())),
                    curve().n);
+}
+
+/// (u1, u2) = (z/s, r/s) mod n, or nullopt for a malformed signature.
+std::optional<std::pair<U256, U256>> verify_scalars(const Hash32& digest,
+                                                    const Signature& sig) {
+  const Modulus& order = curve().n;
+  if (sig.r.is_zero() || sig.s.is_zero()) return std::nullopt;
+  if (cmp(sig.r, order.m) >= 0) return std::nullopt;
+  // Reject non-canonical high-s (covers s >= n as well): the signer
+  // always emits s <= n/2, so anything above is a malleated copy.
+  if (cmp(sig.s, curve().n_half) > 0) return std::nullopt;
+  const U256 w = inv_mod(sig.s, order);
+  return std::make_pair(mul_mod(digest_to_scalar(digest), w, order),
+                        mul_mod(sig.r, w, order));
+}
+
+/// Does u1·G + u2·Q (Jacobian) have affine x ≡ r (mod n)?
+bool matches_r(const JacobianPoint& r_point, const U256& r) {
+  if (r_point.is_identity()) return false;
+  // Compare in Jacobian space: affine x equals X/Z² (mod p), and the
+  // candidate affine x values congruent to r mod n below p are r and
+  // r + n. Checking r·Z² == X avoids the field inversion of to_affine.
+  const Modulus& fp = curve().p;
+  const U256 z2 = sqr_mod(r_point.z, fp);
+  if (mul_mod(r, z2, fp) == r_point.x) return true;
+  U256 r_plus_n;
+  if (add_carry(r_plus_n, r, curve().n.m) == 0 && cmp(r_plus_n, fp.m) < 0) {
+    return mul_mod(r_plus_n, z2, fp) == r_point.x;
+  }
+  return false;
 }
 
 }  // namespace
@@ -105,36 +136,23 @@ bool verify_digest(const PublicKey& pub, const Hash32& digest,
 
 bool verify_digest(const AffinePoint& pub, const Hash32& digest,
                    const Signature& sig) {
-  const Modulus& order = curve().n;
   // Reject the identity and off-curve points: the Jacobian formulas
   // never consult the curve's b coefficient, so arithmetic on a point
   // from another curve would be self-consistent (invalid-curve attack)
   // if a caller ever feeds this overload untrusted coordinates.
   if (!on_curve(pub)) return false;
-  if (sig.r.is_zero() || sig.s.is_zero()) return false;
-  if (cmp(sig.r, order.m) >= 0) return false;
-  // Reject non-canonical high-s (covers s >= n as well): the signer
-  // always emits s <= n/2, so anything above is a malleated copy.
-  if (cmp(sig.s, curve().n_half) > 0) return false;
-  const U256 z = digest_to_scalar(digest);
-  const U256 w = inv_mod(sig.s, order);
-  const U256 u1 = mul_mod(z, w, order);
-  const U256 u2 = mul_mod(sig.r, w, order);
-  const JacobianPoint r_point =
-      double_scalar_mul(u1, u2, JacobianPoint::from_affine(pub));
-  if (r_point.is_identity()) return false;
-  // Compare in Jacobian space: affine x equals X/Z² (mod p), and the
-  // candidate affine x values congruent to r mod n below p are r and
-  // r + n. Checking r·Z² == X avoids the field inversion of to_affine.
-  const Modulus& fp = curve().p;
-  const U256 z2 = sqr_mod(r_point.z, fp);
-  if (mul_mod(sig.r, z2, fp) == r_point.x) return true;
-  U256 r_plus_n;
-  if (add_carry(r_plus_n, sig.r, order.m) == 0 &&
-      cmp(r_plus_n, fp.m) < 0) {
-    return mul_mod(r_plus_n, z2, fp) == r_point.x;
-  }
-  return false;
+  const auto u = verify_scalars(digest, sig);
+  if (!u) return false;
+  return matches_r(
+      double_scalar_mul(u->first, u->second, JacobianPoint::from_affine(pub)),
+      sig.r);
+}
+
+bool verify_digest(const FixedWindowTable& pub, const Hash32& digest,
+                   const Signature& sig) {
+  const auto u = verify_scalars(digest, sig);
+  if (!u) return false;
+  return matches_r(double_scalar_mul(u->first, u->second, pub), sig.r);
 }
 
 const AffinePoint* PubkeyCache::get(const PublicKey& pub) {

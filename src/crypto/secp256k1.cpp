@@ -126,56 +126,60 @@ JacobianPoint jacobian_add_mixed(const JacobianPoint& a,
   return JacobianPoint{x3, y3, z3};
 }
 
-namespace {
-
-/// Fixed-window generator table: win[w][d-1] = d·16^w·G in affine
-/// coordinates, for w in [0, 64) and digits d in [1, 15]. k·G then
-/// needs only one mixed addition per non-zero nibble of k — no
-/// doublings at all. Window 0 doubles as the odd-multiples-of-G table
-/// for the Shamir ladder.
-struct BaseTable {
-  std::array<std::array<AffinePoint, 15>, 64> win;
-};
-
-BaseTable build_base_table() {
+std::unique_ptr<FixedWindowTable> build_fixed_table(const AffinePoint& p) {
   const Modulus& fp = curve().p;
-  // All 64×15 multiples in Jacobian form first.
-  std::array<std::array<JacobianPoint, 15>, 64> jac;
-  JacobianPoint base =
-      JacobianPoint::from_affine(AffinePoint{curve().gx, curve().gy, false});
+  // All 64×15 multiples in Jacobian form first (heap: ~92 KB).
+  constexpr std::size_t kCount = 64 * 15;
+  std::vector<JacobianPoint> jac(kCount);
+  JacobianPoint base = JacobianPoint::from_affine(p);
   for (std::size_t w = 0; w < 64; ++w) {
-    jac[w][0] = base;
+    jac[w * 15] = base;
     for (std::size_t d = 1; d < 15; ++d) {
-      jac[w][d] = jacobian_add(jac[w][d - 1], base);
+      jac[w * 15 + d] = jacobian_add(jac[w * 15 + d - 1], base);
     }
     base = jacobian_double(jacobian_double(
-        jacobian_double(jacobian_double(base))));  // 16^(w+1)·G
+        jacobian_double(jacobian_double(base))));  // 16^(w+1)·P
   }
   // Montgomery batch inversion: normalize all 960 points to affine with
-  // a single field inversion. No entry is the identity (d·16^w < n).
-  constexpr std::size_t kCount = 64 * 15;
+  // a single field inversion. No entry is the identity: every point of
+  // the curve has order n, and d·16^w ≤ 15·16^63 < n.
   std::vector<U256> prefix(kCount);
   for (std::size_t i = 0; i < kCount; ++i) {
-    const U256& z = jac[i / 15][i % 15].z;
+    const U256& z = jac[i].z;
     prefix[i] = i == 0 ? z : mul_mod(prefix[i - 1], z, fp);
   }
   U256 inv = inv_mod(prefix[kCount - 1], fp);
-  BaseTable t;
+  auto t = std::make_unique<FixedWindowTable>();
   for (std::size_t i = kCount; i-- > 0;) {
-    const JacobianPoint& p = jac[i / 15][i % 15];
+    const JacobianPoint& q = jac[i];
     const U256 zinv = i == 0 ? inv : mul_mod(inv, prefix[i - 1], fp);
-    inv = mul_mod(inv, p.z, fp);
+    inv = mul_mod(inv, q.z, fp);
     const U256 zinv2 = sqr_mod(zinv, fp);
-    t.win[i / 15][i % 15] = AffinePoint{
-        mul_mod(p.x, zinv2, fp), mul_mod(p.y, mul_mod(zinv2, zinv, fp), fp),
+    t->win[i / 15][i % 15] = AffinePoint{
+        mul_mod(q.x, zinv2, fp), mul_mod(q.y, mul_mod(zinv2, zinv, fp), fp),
         false};
   }
   return t;
 }
 
-const BaseTable& base_table() {
-  static const BaseTable table = build_base_table();
-  return table;
+namespace {
+
+const FixedWindowTable& base_table() {
+  // Window 0 doubles as the odd-multiples-of-G table for the Shamir
+  // ladder.
+  static const std::unique_ptr<FixedWindowTable> table =
+      build_fixed_table(AffinePoint{curve().gx, curve().gy, false});
+  return *table;
+}
+
+/// acc += k·P, one mixed addition per non-zero nibble of k mod n.
+void add_fixed(JacobianPoint& acc, const U256& k,
+               const FixedWindowTable& table) {
+  const U256 kn = normalize(k, curve().n);
+  for (std::size_t w = 0; w < 64; ++w) {
+    const std::size_t digit = (kn.w[w / 16] >> (4 * (w % 16))) & 0xf;
+    if (digit != 0) acc = jacobian_add_mixed(acc, table.win[w][digit - 1]);
+  }
 }
 
 /// Width-5 wNAF recoding: k = Σ out[i]·2^i with out[i] either zero or
@@ -247,16 +251,14 @@ JacobianPoint scalar_mul(const U256& k, const JacobianPoint& p) {
   return acc;
 }
 
-JacobianPoint scalar_mul_base(const U256& k) {
-  const U256 kn = normalize(k, curve().n);
-  const BaseTable& t = base_table();
+JacobianPoint scalar_mul_fixed(const U256& k, const FixedWindowTable& table) {
   JacobianPoint acc = JacobianPoint::identity();
-  for (std::size_t w = 0; w < 64; ++w) {
-    const std::size_t digit =
-        (kn.w[w / 16] >> (4 * (w % 16))) & 0xf;
-    if (digit != 0) acc = jacobian_add_mixed(acc, t.win[w][digit - 1]);
-  }
+  add_fixed(acc, k, table);
   return acc;
+}
+
+JacobianPoint scalar_mul_base(const U256& k) {
+  return scalar_mul_fixed(k, base_table());
 }
 
 JacobianPoint double_scalar_mul(const U256& u1, const U256& u2,
@@ -270,7 +272,7 @@ JacobianPoint double_scalar_mul(const U256& u1, const U256& u2,
   // digits of both scalars. G digits hit the precomputed affine table
   // (window 0 holds 1G..15G), Q digits a runtime odd-multiples table.
   const std::array<JacobianPoint, 8> qtbl = odd_multiples(q);
-  const BaseTable& bt = base_table();
+  const FixedWindowTable& bt = base_table();
   std::array<std::int8_t, 260> w1{};
   std::array<std::int8_t, 260> w2{};
   const int l1 = wnaf5(k1, w1);
@@ -294,6 +296,16 @@ JacobianPoint double_scalar_mul(const U256& u1, const U256& u2,
           acc, negate(qtbl[static_cast<std::size_t>((-d2 - 1) / 2)]));
     }
   }
+  return acc;
+}
+
+JacobianPoint double_scalar_mul(const U256& u1, const U256& u2,
+                                const FixedWindowTable& q) {
+  // No doublings, so the two walks can share one accumulator: the sum
+  // is the same whatever order the 128 table points are added in.
+  JacobianPoint acc = JacobianPoint::identity();
+  add_fixed(acc, u1, base_table());
+  add_fixed(acc, u2, q);
   return acc;
 }
 

@@ -1,13 +1,14 @@
 // secp256k1 elliptic-curve group operations (y² = x³ + 7 over F_p) in
 // Jacobian coordinates. Scalar multiplication runs on the fast paths a
-// verifier-bound blockchain needs: a precomputed fixed-window table for
-// the generator (built once, 64 windows of 4 bits), wNAF recoding with
-// mixed Jacobian+affine addition for arbitrary points, and an
-// interleaved Shamir ladder for the u1·G + u2·Q shape of ECDSA
-// verification. Plus compressed point (de)serialization and the curve
-// constants.
+// verifier-bound blockchain needs: precomputed fixed-window tables (64
+// windows of 4 bits) for the generator and for any long-lived public
+// key, wNAF recoding with mixed Jacobian+affine addition for arbitrary
+// points, and an interleaved Shamir ladder for the u1·G + u2·Q shape
+// of ECDSA verification against a key without a table. Plus compressed
+// point (de)serialization and the curve constants.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "crypto/u256.hpp"
@@ -59,13 +60,34 @@ struct JacobianPoint {
 /// k·P via width-5 wNAF (k is reduced mod n; every curve point has
 /// order n, so the result is unchanged).
 [[nodiscard]] JacobianPoint scalar_mul(const U256& k, const JacobianPoint& p);
-/// k·G via the static precomputed fixed-window generator table: 64
-/// table lookups + mixed additions, no doublings.
+
+/// Fixed-window table of a point P: win[w][d-1] = d·16^w·P in affine
+/// coordinates, for windows w in [0, 64) and digits d in [1, 15]. k·P
+/// then needs one mixed addition per non-zero nibble of k and no
+/// doublings at all. 960 points, ~69 KB: worth it for keys that verify
+/// many signatures (the generator, committee members), not per call.
+struct FixedWindowTable {
+  std::array<std::array<AffinePoint, 15>, 64> win;
+};
+/// Builds P's table (one batch inversion for all 960 points). P must be
+/// a curve point other than the identity: callers check on_curve first.
+[[nodiscard]] std::unique_ptr<FixedWindowTable> build_fixed_table(
+    const AffinePoint& p);
+/// k·P from P's table: 64 table lookups + mixed additions.
+[[nodiscard]] JacobianPoint scalar_mul_fixed(const U256& k,
+                                             const FixedWindowTable& table);
+/// k·G: scalar_mul_fixed on the generator's table (built once, on
+/// first use).
 [[nodiscard]] JacobianPoint scalar_mul_base(const U256& k);
 /// u1·G + u2·Q via an interleaved Shamir ladder (shared doubling run,
-/// wNAF digits for both scalars) — the ECDSA verification workhorse.
+/// wNAF digits for both scalars) — ECDSA verification for a key
+/// without a table.
 [[nodiscard]] JacobianPoint double_scalar_mul(const U256& u1, const U256& u2,
                                               const JacobianPoint& q);
+/// u1·G + u2·Q for a key with a table: two doubling-free table walks
+/// into one accumulator (≤ 128 mixed additions).
+[[nodiscard]] JacobianPoint double_scalar_mul(const U256& u1, const U256& u2,
+                                              const FixedWindowTable& q);
 
 /// Is (x, y) on the curve? (Rejects infinity.)
 [[nodiscard]] bool on_curve(const AffinePoint& p);

@@ -1,6 +1,8 @@
 #include "crypto/signer.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "common/rng.hpp"
 #include "common/serde.hpp"
@@ -39,11 +41,35 @@ Bytes EcdsaScheme::sign(ReplicaId id, BytesView message) {
   return Bytes(raw.begin(), raw.end());
 }
 
+const FixedWindowTable& EcdsaScheme::table_for(ReplicaId id) const {
+  const auto it = tables_.find(id);
+  if (it != tables_.end()) return *it->second;
+  const PublicKey pub = public_key(id);
+  const auto point = decompress(BytesView(pub.data.data(), pub.data.size()));
+  // decompress checks on_curve: once per key, here, because the table
+  // overload of verify_digest cannot re-check it. A derived key always
+  // passes.
+  if (!point) {
+    throw std::logic_error("EcdsaScheme: derived key is not a curve point");
+  }
+  return *tables_.emplace(id, build_fixed_table(*point)).first->second;
+}
+
 bool EcdsaScheme::verify(ReplicaId id, BytesView message,
                          BytesView signature) const {
   const auto sig = Signature::from_bytes(signature);
   if (!sig) return false;
-  return zlb::crypto::verify(public_key(id), message, *sig);
+  return verify_digest(table_for(id), sha256(message), *sig);
+}
+
+std::vector<ReplicaId> EcdsaScheme::cached_ids() const {
+  std::vector<ReplicaId> ids;
+  for (const auto& [id, key] : keys_) ids.push_back(id);
+  for (const auto& [id, pub] : pubs_) ids.push_back(id);
+  for (const auto& [id, table] : tables_) ids.push_back(id);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
 }
 
 Bytes SimScheme::compute(ReplicaId id, BytesView message) const {

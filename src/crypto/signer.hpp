@@ -33,6 +33,17 @@ class SignatureScheme {
 };
 
 /// Real secp256k1 ECDSA, one deterministic key per replica id.
+///
+/// Verification is the live path's dominant cost (every consensus
+/// message is signed), and its signer set is small and known up front:
+/// the committee plus the standby pool. Every id verified here gets a
+/// fixed-window table of its public key (~69 KB, built and
+/// on_curve-checked once, on the id's first verify), which makes
+/// u1·G + u2·Q doubling-free. Callers that take signer ids off the wire
+/// must bound them BEFORE calling verify: every id asked about gets a
+/// derived key and a table cached here.
+///
+/// Not thread-safe (const verify fills the caches).
 class EcdsaScheme final : public SignatureScheme {
  public:
   [[nodiscard]] Bytes sign(ReplicaId id, BytesView message) override;
@@ -43,11 +54,17 @@ class EcdsaScheme final : public SignatureScheme {
   [[nodiscard]] const PrivateKey& key(ReplicaId id);
   [[nodiscard]] PublicKey public_key(ReplicaId id) const;
 
+  /// Ids with a derived key in any cache (signing or verification).
+  [[nodiscard]] std::vector<ReplicaId> cached_ids() const;
+
  private:
   const PrivateKey& key_for(ReplicaId id) const;
+  const FixedWindowTable& table_for(ReplicaId id) const;
 
   mutable std::unordered_map<ReplicaId, PrivateKey> keys_;
   mutable std::unordered_map<ReplicaId, PublicKey> pubs_;
+  mutable std::unordered_map<ReplicaId, std::unique_ptr<FixedWindowTable>>
+      tables_;
 };
 
 /// Keyed-hash stand-in with a configurable wire size. sig =

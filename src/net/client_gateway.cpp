@@ -28,7 +28,7 @@ void ClientGateway::on_listener_ready() {
   for (;;) {
     auto fd = accept_connection(listener_);
     if (!fd) return;
-    stats_.connections += 1;
+    stats_.connections.fetch_add(1, std::memory_order_relaxed);
     const int raw = fd->get();
     conns_.emplace(raw, Conn{std::move(*fd), FrameDecoder{}, {}, 0});
     loop_.watch(raw, Interest{true, false},
@@ -61,19 +61,19 @@ void ClientGateway::on_conn_event(int fd, bool readable, bool writable) {
             Reader r(payload);
             const chain::Transaction tx = chain::Transaction::deserialize(r);
             if (!r.done() || !tx.well_formed()) {
-              stats_.malformed += 1;
+              stats_.malformed.fetch_add(1, std::memory_order_relaxed);
               reply(conn, SubmitStatus::kMalformed);
               return;
             }
             if (handler_ && handler_(tx)) {
-              stats_.accepted += 1;
+              stats_.accepted.fetch_add(1, std::memory_order_relaxed);
               reply(conn, SubmitStatus::kAccepted);
             } else {
-              stats_.rejected += 1;
+              stats_.rejected.fetch_add(1, std::memory_order_relaxed);
               reply(conn, SubmitStatus::kRejected);
             }
           } catch (const DecodeError&) {
-            stats_.malformed += 1;
+            stats_.malformed.fetch_add(1, std::memory_order_relaxed);
             reply(conn, SubmitStatus::kMalformed);
           }
         });

@@ -7,6 +7,7 @@
 // rejected) so wallets can retry elsewhere.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <unordered_map>
 
@@ -30,6 +31,25 @@ struct GatewayStats {
   std::uint64_t rejected = 0;
 };
 
+/// The gateway's live counters: bumped on the loop thread with relaxed
+/// atomics, so stats() may be read from any thread while the loop runs
+/// (each counter is monotonic; never torn).
+struct AtomicGatewayStats {
+  std::atomic<std::uint64_t> connections{0};
+  std::atomic<std::uint64_t> accepted{0};
+  std::atomic<std::uint64_t> malformed{0};
+  std::atomic<std::uint64_t> rejected{0};
+
+  [[nodiscard]] GatewayStats snapshot() const {
+    GatewayStats s;
+    s.connections = connections.load(std::memory_order_relaxed);
+    s.accepted = accepted.load(std::memory_order_relaxed);
+    s.malformed = malformed.load(std::memory_order_relaxed);
+    s.rejected = rejected.load(std::memory_order_relaxed);
+    return s;
+  }
+};
+
 class ClientGateway {
  public:
   /// Decides whether to accept a structurally valid transaction
@@ -44,7 +64,8 @@ class ClientGateway {
 
   [[nodiscard]] bool listening() const { return listener_.valid(); }
   [[nodiscard]] std::uint16_t local_port() const { return port_; }
-  [[nodiscard]] const GatewayStats& stats() const { return stats_; }
+  /// Thread-safe snapshot of the counters.
+  [[nodiscard]] GatewayStats stats() const { return stats_.snapshot(); }
 
  private:
   struct Conn {
@@ -65,7 +86,7 @@ class ClientGateway {
   Fd listener_;
   std::uint16_t port_ = 0;
   std::unordered_map<int, Conn> conns_;
-  GatewayStats stats_;
+  AtomicGatewayStats stats_;
 };
 
 /// Blocking client for wallets/tools and tests: connects to a gateway,

@@ -53,6 +53,11 @@ LiveNode::LiveNode(LiveNodeConfig config)
   if (config_.resync_interval > Duration::zero()) {
     config_.engine.record_wire = true;
   }
+  // The signer universe: every id whose signature this node will ever
+  // check. Frames naming anyone else are dropped before verification.
+  std::vector<ReplicaId> signers = config_.committee;
+  signers.insert(signers.end(), config_.pool.begin(), config_.pool.end());
+  signers_ = sorted_unique(std::move(signers));
   if (config_.use_ecdsa) {
     scheme_ = std::make_unique<crypto::EcdsaScheme>();
   } else {
@@ -239,6 +244,12 @@ void LiveNode::register_metrics() {
   metrics_.gauge_fn("zlb_event_loop_timers",
                     "Pending timers in the event loop", [this] {
                       return static_cast<std::int64_t>(loop_.timer_count());
+                    });
+  metrics_.gauge_fn("zlb_open_engines",
+                    "Regular SBC engines held in memory (undecided, or "
+                    "decided and not yet retired)",
+                    [this] {
+                      return static_cast<std::int64_t>(engines_.size());
                     });
 
   // Mempool: occupancy and reject causes.
@@ -568,9 +579,11 @@ bool LiveNode::maybe_checkpoint() {
 
 LiveNode::Engine* LiveNode::get_or_create(InstanceId k) {
   if (k >= config_.instances) return nullptr;
-  // Settled by an installed snapshot: the instance is history, its
-  // engine will never run here (late frames for it are ignored).
-  if (k < settled_floor_) return nullptr;
+  // Settled by an installed snapshot, or decided here and retired: the
+  // instance is history and its engine never runs again (late frames
+  // for it are ignored). A fresh engine at a retired index would vote
+  // a second time in an instance this node already voted in.
+  if (k < std::max(settled_floor_, retired_floor_)) return nullptr;
   const auto it = engines_.find(k);
   if (it != engines_.end()) return it->second.get();
 
@@ -765,6 +778,14 @@ void LiveNode::on_decided(InstanceId k) {
     decisions_.push_back(std::move(d));
   }
   decided_count_.fetch_add(1);
+  // Advance past every already-decided index (instances can decide out
+  // of order when a quorum finishes without our proposal).
+  current_ = decision_floor();
+  // Retire on the next loop turn, never here: this runs inside engine
+  // k's own decided hook, and its callers (the engine's delivery path,
+  // handle_decision_msg's certificate loop) keep using the engine after
+  // the hook returns.
+  loop_.schedule(Duration::zero(), [this]() { retire_settled(); });
 
   if (all_decided()) {
     // Lingering nodes stay up to serve resync to straggling peers (the
@@ -778,10 +799,7 @@ void LiveNode::on_decided(InstanceId k) {
     }
     return;
   }
-  // Advance past every already-decided index and propose in the next
-  // open instance (instances can decide out of order when a quorum
-  // finishes without our proposal).
-  current_ = decision_floor();
+  // Propose in the next open instance.
   if (membership_.running()) return;  // resumes after the epoch switch
   if (current_ < config_.instances) {
     if (config_.real_blocks && config_.block_interval > Duration::zero()) {
@@ -799,8 +817,8 @@ InstanceId LiveNode::decision_floor() const {
   // current_ is the first-undecided cursor on_decided maintains;
   // starting there keeps this O(1) amortized over a run instead of
   // rescanning every decided instance from zero on each tick.
-  // Snapshot-settled instances count as decided.
-  InstanceId k = std::max(current_, settled_floor_);
+  // Snapshot-settled and retired instances count as decided.
+  InstanceId k = std::max({current_, settled_floor_, retired_floor_});
   while (k < config_.instances) {
     const auto it = engines_.find(k);
     if (it == engines_.end() || !it->second->has_decided()) break;
@@ -814,6 +832,32 @@ InstanceId LiveNode::decision_ceiling() const {
   // and the exclusion validate hook both ask, and a map scan here
   // would cost O(chain) per decide.
   return std::max(decision_floor(), decided_ceiling_);
+}
+
+std::vector<ProofOfFraud> LiveNode::known_culprits(
+    std::vector<ProofOfFraud> pofs) const {
+  pofs.erase(std::remove_if(pofs.begin(), pofs.end(),
+                            [this](const ProofOfFraud& pof) {
+                              return !known_signer(pof.culprit());
+                            }),
+             pofs.end());
+  return pofs;
+}
+
+void LiveNode::retire_settled() {
+  // Everything below the decision floor is decided (or snapshot-
+  // settled), and on_decided already handed each decision to the
+  // commit pipeline. What a peer may still need from a decided engine
+  // is its recorded wire, so with resync on the engines go once every
+  // live peer reported past them (the wire-prune floor). Without resync
+  // nothing is ever replayed.
+  InstanceId upto = decision_floor();
+  if (config_.resync_interval > Duration::zero()) {
+    upto = std::min(upto, pruned_floor_);
+  }
+  if (upto <= retired_floor_) return;
+  engines_.erase(engines_.begin(), engines_.lower_bound(upto));
+  retired_floor_ = upto;
 }
 
 // --- membership change (Alg. 1, live) --------------------------------
@@ -1611,13 +1655,11 @@ void LiveNode::resync_tick() {
     if (my_floor > kMaxRetainedInstances) {
       floor = std::max(floor, my_floor - kMaxRetainedInstances);
     }
-    for (auto it = engines_.lower_bound(pruned_floor_);
-         it != engines_.end() && it->first < floor; ++it) {
-      it->second->clear_wire_log();
-    }
     pruned_floor_ = std::max(pruned_floor_, floor);
-    // Cached decision frames follow the wire logs: below the prune
-    // floor a stalled peer is snapshot territory anyway.
+    // The engines below the prune floor go with their wire logs, and
+    // the cached decision frames follow: below it a stalled peer is
+    // snapshot territory anyway.
+    retire_settled();
     decision_log_.erase(decision_log_.begin(),
                         decision_log_.lower_bound(pruned_floor_));
   }
@@ -1841,7 +1883,9 @@ void LiveNode::settle_below(InstanceId upto) {
   // absurd value must neither spin this loop nor fabricate decisions.
   upto = std::min(upto, config_.instances);
   std::uint64_t newly = 0;
-  for (InstanceId k = settled_floor_; k < upto; ++k) {
+  // Retired instances were decided here and counted by on_decided.
+  for (InstanceId k = std::max(settled_floor_, retired_floor_); k < upto;
+       ++k) {
     const auto it = engines_.find(k);
     if (it != engines_.end()) {
       // Live-decided instances were already counted by on_decided.
@@ -1927,6 +1971,7 @@ void LiveNode::on_frame(ReplicaId from, BytesView data) {
     switch (static_cast<MsgTag>(data[0])) {
       case MsgTag::kVote: {
         const SignedVote vote = SignedVote::decode(r);
+        if (!known_signer(vote.signer)) return;
         const Bytes sb = vote.body.signing_bytes();
         if (!scheme_->verify(vote.signer, BytesView(sb.data(), sb.size()),
                              BytesView(vote.signature.data(),
@@ -1939,6 +1984,7 @@ void LiveNode::on_frame(ReplicaId from, BytesView data) {
       }
       case MsgTag::kProposal: {
         const ProposalMsg msg = ProposalMsg::decode(r);
+        if (!known_signer(msg.vote.signer)) return;
         const Bytes sb = msg.vote.body.signing_bytes();
         if (!scheme_->verify(msg.vote.signer, BytesView(sb.data(), sb.size()),
                              BytesView(msg.vote.signature.data(),
@@ -1954,14 +2000,16 @@ void LiveNode::on_frame(ReplicaId from, BytesView data) {
           // simulator replica: a replica that missed equivocations
           // itself still reaches the trigger on the PoFs they carry.
           const BytesView claim(msg.payload.data(), msg.payload.size());
-          membership_.intake(ExclusionClaim::decode(claim).pofs, *scheme_);
+          membership_.intake(
+              known_culprits(ExclusionClaim::decode(claim).pofs), *scheme_);
         }
         break;
       }
       case MsgTag::kPofGossip: {
         if (config_.reconfiguration) {
-          membership_.intake(consensus::decode_pofs(data.subspan(1)),
-                             *scheme_);
+          membership_.intake(
+              known_culprits(consensus::decode_pofs(data.subspan(1))),
+              *scheme_);
         }
         break;
       }
@@ -2032,7 +2080,7 @@ void LiveNode::on_frame(ReplicaId from, BytesView data) {
       }
       case MsgTag::kDecision: {
         const auto msg = consensus::DecisionMsg::decode(r);
-        if (!r.done()) break;
+        if (!r.done() || !known_signer(msg.sender)) break;
         const Bytes sb = msg.summary_bytes();
         if (!scheme_->verify(msg.sender, BytesView(sb.data(), sb.size()),
                              BytesView(msg.signature.data(),

@@ -21,6 +21,7 @@
 // direct equivocation, which real sockets can carry.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -199,6 +200,31 @@ struct LiveDecision {
 // committer needs the hook to finish a flush. Helpers that need a
 // lock are annotated REQUIRES, helpers that take one are EXCLUDES,
 // and the clang -Wthread-safety CI job enforces both.
+//
+// Engine lifecycle & the retired floor
+// ------------------------------------
+// A regular instance's SbcEngine is created on demand (our proposal,
+// or the first frame routed to its index), decides, and hands its
+// payloads to the commit pipeline. After that it is kept only while a
+// peer may still need it: its recorded wire answers resync replays.
+// retire_settled frees the contiguous decided prefix below the
+// decision floor (the first undecided index) and, with resync on, below
+// pruned_floor_ (every live peer reported past it). It runs after each
+// prune, and one loop turn after each decision: never inside an
+// engine's own hook. retired_floor_ marks that prefix, and
+// get_or_create refuses every index below it, as below settled_floor_
+// (the snapshot-settled prefix): a late or replayed frame never
+// resurrects an engine, which would vote a second time in an instance
+// this node already voted in and make it provably equivocate. Accountability loses nothing: PoF
+// observation below the decision floor is already cut off (PofStore
+// prune + log floor), and wire below pruned_floor_ already counts as
+// snapshot territory. Open engines stay O(pipeline window + resync
+// lag), not O(chain) (gauge zlb_open_engines).
+//
+// Signer bound: committee ∪ pool is the whole signer universe. Votes,
+// proposals, decisions and PoFs naming any other id are dropped before
+// the signature scheme sees them: the ECDSA scheme derives a key and
+// builds a ~69 KB table for every id it is asked about.
 class LiveNode {
  public:
   explicit LiveNode(LiveNodeConfig config);
@@ -321,6 +347,11 @@ class LiveNode {
   /// Thread-safe snapshot of an address's spendable coins.
   [[nodiscard]] std::vector<std::pair<chain::OutPoint, chain::TxOut>>
   owned_coins(const chain::Address& a) const EXCLUDES(ledger_mutex_);
+  /// The node's signature scheme (an EcdsaScheme with use_ecdsa). Its
+  /// caches are loop-thread state: inspect them after run() returned.
+  [[nodiscard]] const crypto::SignatureScheme& signature_scheme() const {
+    return *scheme_;
+  }
   /// Commit-pipeline observability (null when not in payment mode).
   [[nodiscard]] const bm::CommitPipeline* pipeline() const {
     return pipeline_.get();
@@ -343,6 +374,17 @@ class LiveNode {
   [[nodiscard]] InstanceId decision_floor() const;
   /// 1 + the highest locally decided regular index (>= decision floor).
   [[nodiscard]] InstanceId decision_ceiling() const;
+  /// Frees the engines of the decided prefix no peer can still need
+  /// (see the engine lifecycle comment above the class).
+  void retire_settled();
+  /// Committee or pool member: the only ids whose signatures this node
+  /// verifies (the scheme builds a table per id it is asked about).
+  [[nodiscard]] bool known_signer(ReplicaId id) const {
+    return std::binary_search(signers_.begin(), signers_.end(), id);
+  }
+  /// Drops wire PoFs whose culprit is not a known signer.
+  [[nodiscard]] std::vector<consensus::ProofOfFraud> known_culprits(
+      std::vector<consensus::ProofOfFraud> pofs) const;
   void resync_tick() EXCLUDES(decisions_mutex_);
   /// Wall clock via the injectable seam (LiveNodeConfig::clock).
   [[nodiscard]] std::int64_t unix_now() const;
@@ -461,6 +503,8 @@ class LiveNode {
   EventLoop loop_;
   TcpTransport transport_;
   std::unique_ptr<crypto::SignatureScheme> scheme_;
+  /// committee ∪ pool, sorted: the signer universe.
+  std::vector<ReplicaId> signers_;
 
   /// Per-node metric registry + instance-lifecycle tracer. Declared
   /// before anything that might record into them; destroyed after.
@@ -535,6 +579,9 @@ class LiveNode {
   TimePoint run_start_{};
 
   std::map<InstanceId, std::unique_ptr<Engine>> engines_;
+  /// Engines below this were decided here and freed (retire_settled);
+  /// get_or_create refuses the indices for good.
+  InstanceId retired_floor_ = 0;
   InstanceId current_ = 0;
   /// 1 + highest locally decided/settled index (decision_ceiling()'s
   /// O(1) cursor; the engines map must not be scanned per decide).

@@ -1,5 +1,6 @@
 // secp256k1 curve algebra and ECDSA behaviour: known generator
-// multiples, group laws, sign/verify, tampering, compression.
+// multiples, group laws, fixed-window tables, sign/verify, tampering,
+// compression.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -8,6 +9,22 @@
 
 namespace zlb::crypto {
 namespace {
+
+U256 random_scalar(Rng& rng) {
+  return normalize(U256{rng.next(), rng.next(), rng.next(), rng.next()},
+                   curve().n);
+}
+
+Hash32 random_digest(Rng& rng) {
+  Hash32 digest{};
+  for (std::size_t b = 0; b < digest.size(); b += 8) {
+    const std::uint64_t v = rng.next();
+    for (std::size_t j = 0; j < 8; ++j) {
+      digest[b + j] = static_cast<std::uint8_t>(v >> (8 * j));
+    }
+  }
+  return digest;
+}
 
 TEST(Secp256k1, GeneratorIsOnCurve) {
   EXPECT_TRUE(on_curve(AffinePoint{curve().gx, curve().gy, false}));
@@ -122,6 +139,59 @@ TEST(Secp256k1, MixedAdditionMatchesFull) {
             to_affine(jacobian_double(g)));
   const AffinePoint neg_g{ga.x, sub_mod(U256(), ga.y, curve().p), false};
   EXPECT_TRUE(jacobian_add_mixed(g, neg_g).is_identity());
+}
+
+TEST(Secp256k1, FixedTableScalarMulMatchesLadder) {
+  // Edge scalars hit the first/last window and the all-zero-nibble
+  // runs the walk skips: 0, 1, n−1 (= −P), 2^255 (top window only) and
+  // a k whose nibbles are zero except at both ends.
+  U256 n_minus_1;
+  sub_borrow(n_minus_1, curve().n.m, U256(1));
+  const std::vector<U256> scalars = {
+      U256(), U256(1), n_minus_1, U256(1ull << 63, 0, 0, 0),
+      U256(0x1000000000000000ull, 0, 0, 0xf), curve().n.m};
+  Rng rng(29);
+  const AffinePoint p = to_affine(scalar_mul_base(random_scalar(rng)));
+  const auto table = build_fixed_table(p);
+  const JacobianPoint pj = JacobianPoint::from_affine(p);
+  const JacobianPoint gj =
+      JacobianPoint::from_affine(AffinePoint{curve().gx, curve().gy, false});
+  for (const U256& k : scalars) {
+    EXPECT_EQ(to_affine(scalar_mul_fixed(k, *table)),
+              to_affine(scalar_mul(k, pj)))
+        << k.to_hex();
+    EXPECT_EQ(to_affine(scalar_mul_base(k)), to_affine(scalar_mul(k, gj)))
+        << k.to_hex();
+  }
+  EXPECT_TRUE(scalar_mul_fixed(U256(), *table).is_identity());
+  for (int i = 0; i < 8; ++i) {
+    const U256 k = random_scalar(rng);
+    EXPECT_EQ(to_affine(scalar_mul_fixed(k, *table)),
+              to_affine(scalar_mul(k, pj)));
+  }
+}
+
+TEST(Secp256k1, TableDoubleScalarMulMatchesLadder) {
+  Rng rng(31);
+  const U256 kq = random_scalar(rng);
+  const JacobianPoint q = scalar_mul_base(kq);
+  const auto table = build_fixed_table(to_affine(q));
+  for (int i = 0; i < 16; ++i) {
+    const U256 u1 = random_scalar(rng);
+    const U256 u2 = random_scalar(rng);
+    EXPECT_EQ(to_affine(double_scalar_mul(u1, u2, *table)),
+              to_affine(double_scalar_mul(u1, u2, q)));
+  }
+  EXPECT_EQ(to_affine(double_scalar_mul(U256(), U256(5), *table)),
+            to_affine(scalar_mul(U256(5), q)));
+  EXPECT_EQ(to_affine(double_scalar_mul(U256(5), U256(), *table)),
+            to_affine(scalar_mul_base(U256(5))));
+  // u1·G + u2·Q = 0 when u1 = −u2·kq: the shared accumulator must pass
+  // through the cancellation branch and land on the identity.
+  const U256 u2 = random_scalar(rng);
+  const U256 u1 = sub_mod(U256(), mul_mod(u2, kq, curve().n), curve().n);
+  EXPECT_TRUE(double_scalar_mul(u1, u2, *table).is_identity());
+  EXPECT_TRUE(double_scalar_mul(u1, u2, q).is_identity());
 }
 
 TEST(Secp256k1, DecompressRejectsGarbage) {
@@ -300,6 +370,69 @@ TEST(Ecdsa, PredecompressedOverloadMatchesAndRejectsInfinity) {
                     digest, sig));
 }
 
+TEST(Ecdsa, TableVerifyAgreesWithLadder) {
+  // 200 random keys and digests: the table overload and the affine
+  // overload accept the same signatures and reject the same forgeries.
+  Rng rng(43);
+  for (int i = 0; i < 200; ++i) {
+    U256 d = random_scalar(rng);
+    if (d.is_zero()) d = U256(1);
+    const auto key = PrivateKey::from_scalar(d);
+    const PublicKey pub = key.public_key();
+    const auto q = decompress(BytesView(pub.data.data(), 33));
+    ASSERT_TRUE(q.has_value());
+    const auto table = build_fixed_table(*q);
+    const Hash32 digest = random_digest(rng);
+    const Signature sig = key.sign_digest(digest);
+    EXPECT_TRUE(verify_digest(*table, digest, sig)) << i;
+    EXPECT_EQ(verify_digest(*table, digest, sig),
+              verify_digest(*q, digest, sig));
+    const Hash32 other = random_digest(rng);
+    EXPECT_FALSE(verify_digest(*table, other, sig)) << i;
+    EXPECT_EQ(verify_digest(*table, other, sig),
+              verify_digest(*q, other, sig));
+  }
+}
+
+TEST(Ecdsa, TableVerifyRejectsMalformed) {
+  const auto key = PrivateKey::from_seed(to_bytes("table-key"));
+  const auto pub = key.public_key();
+  const auto q = decompress(BytesView(pub.data.data(), 33));
+  ASSERT_TRUE(q.has_value());
+  const auto table = build_fixed_table(*q);
+  const Hash32 digest = sha256(to_bytes("vote body"));
+  const Signature sig = key.sign_digest(digest);
+  ASSERT_TRUE(verify_digest(*table, digest, sig));
+
+  // Wrong key.
+  const auto other = PrivateKey::from_seed(to_bytes("other-key")).public_key();
+  const auto other_q = decompress(BytesView(other.data.data(), 33));
+  ASSERT_TRUE(other_q.has_value());
+  EXPECT_FALSE(verify_digest(*build_fixed_table(*other_q), digest, sig));
+  // A flipped message bit.
+  Hash32 flipped = digest;
+  flipped[5] ^= 0x10;
+  EXPECT_FALSE(verify_digest(*table, flipped, sig));
+  // A flipped bit in r, and one in s.
+  const auto raw = sig.to_bytes();
+  for (const std::size_t byte : {std::size_t{3}, std::size_t{40}}) {
+    auto bad = raw;
+    bad[byte] ^= 0x01;
+    const auto mutated = Signature::from_bytes(BytesView(bad.data(), 64));
+    ASSERT_TRUE(mutated.has_value());
+    EXPECT_FALSE(verify_digest(*table, digest, *mutated)) << byte;
+  }
+  // High-s (the malleated twin), r = 0, s = 0, r = n and r > n.
+  EXPECT_FALSE(verify_digest(
+      *table, digest, Signature{sig.r, sub_mod(U256(), sig.s, curve().n)}));
+  EXPECT_FALSE(verify_digest(*table, digest, Signature{U256(), sig.s}));
+  EXPECT_FALSE(verify_digest(*table, digest, Signature{sig.r, U256()}));
+  EXPECT_FALSE(verify_digest(*table, digest, Signature{curve().n.m, sig.s}));
+  U256 r_plus_n;
+  ASSERT_EQ(add_carry(r_plus_n, U256(5), curve().n.m), 0u);
+  EXPECT_FALSE(verify_digest(*table, digest, Signature{r_plus_n, sig.s}));
+}
+
 TEST(Ecdsa, PubkeyCacheMemoizes) {
   PubkeyCache cache;
   const auto key = PrivateKey::from_seed(to_bytes("cache"));
@@ -326,6 +459,23 @@ TEST(SignatureScheme, EcdsaSchemeRoundtrip) {
                             BytesView(sig.data(), sig.size())));
   EXPECT_FALSE(scheme.verify(8, BytesView(msg.data(), msg.size()),
                              BytesView(sig.data(), sig.size())));
+}
+
+TEST(SignatureScheme, EcdsaSchemeCachesOnlyIdsAskedAbout) {
+  EcdsaScheme scheme;
+  const Bytes msg = to_bytes("protocol message");
+  const BytesView view(msg.data(), msg.size());
+  for (const ReplicaId id : {1u, 9u}) {
+    const Bytes sig = scheme.sign(id, view);
+    const BytesView sv(sig.data(), sig.size());
+    EXPECT_TRUE(scheme.verify(id, view, sv)) << id;
+    EXPECT_FALSE(scheme.verify(2, view, sv)) << id;
+    const Bytes other = to_bytes("other message");
+    EXPECT_FALSE(scheme.verify(id, BytesView(other.data(), other.size()), sv))
+        << id;
+  }
+  // Keys and tables exist for the signing and verified ids only.
+  EXPECT_EQ(scheme.cached_ids(), (std::vector<ReplicaId>{1, 2, 9}));
 }
 
 TEST(SignatureScheme, SimSchemeBehavesLikeSignatures) {
