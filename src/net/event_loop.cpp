@@ -1,6 +1,7 @@
 #include "net/event_loop.hpp"
 
 #include <poll.h>
+#include <time.h>
 
 #include <algorithm>
 #include <vector>
@@ -42,14 +43,17 @@ void EventLoop::cancel(TimerId id) {
 bool EventLoop::poll_once(Duration timeout) {
   if (watches_.empty() && timers_.empty()) return false;
 
-  // Clamp the poll timeout to the next timer deadline.
+  // Clamp the wait to the next timer deadline, at nanosecond precision:
+  // a wait truncated to whole milliseconds wakes up to 1 ms early and
+  // then spins on zero-timeout polls until the timer is due.
   const TimePoint now = Clock::now();
   TimePoint wake = now + timeout;
   if (!timers_.empty()) wake = std::min(wake, timers_.begin()->first);
-  const auto wait =
-      std::chrono::duration_cast<std::chrono::milliseconds>(wake - now);
-  const int wait_ms = static_cast<int>(std::max<std::int64_t>(
-      0, std::min<std::int64_t>(wait.count(), 60'000)));
+  const std::int64_t wait_ns = std::clamp<std::int64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(wake - now).count(),
+      0, std::int64_t{60} * 1'000'000'000);
+  const timespec wait{static_cast<time_t>(wait_ns / 1'000'000'000),
+                      static_cast<long>(wait_ns % 1'000'000'000)};
 
   std::vector<pollfd> fds;
   fds.reserve(watches_.size());
@@ -60,7 +64,7 @@ bool EventLoop::poll_once(Duration timeout) {
     fds.push_back(pollfd{fd, events, 0});
   }
 
-  ::poll(fds.data(), fds.size(), wait_ms);
+  ::ppoll(fds.data(), fds.size(), &wait, nullptr);
 
   // Fire expired timers first (they may unwatch fds).
   const TimePoint after = Clock::now();

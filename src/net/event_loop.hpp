@@ -1,4 +1,4 @@
-// Single-threaded poll(2) reactor with monotonic timers. One loop
+// Single-threaded ppoll(2) reactor with monotonic timers. One loop
 // drives one LiveNode (listener + all its peer links); nodes never
 // share a loop, so no state in this layer needs locking. This is the
 // real-time counterpart of sim::Simulator: timers instead of scheduled

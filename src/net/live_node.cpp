@@ -278,6 +278,10 @@ void LiveNode::register_metrics() {
   rounds_total_ = &metrics_.counter(
       "zlb_consensus_rounds_total",
       "Binary-consensus rounds summed over decided slots");
+  settled_frames_dropped_ = &metrics_.counter(
+      "zlb_settled_frames_dropped_total",
+      "Votes and proposals for retired or snapshot-settled instances, "
+      "dropped before signature verification");
   metrics_.gauge_fn("zlb_epoch", "Current membership generation", [this] {
     return static_cast<std::int64_t>(epoch_atomic_.load());
   });
@@ -665,17 +669,15 @@ LiveNode::Engine* LiveNode::get_or_create(InstanceId k) {
   // ahead) bounds what one forged vote per index can make every honest
   // node broadcast.
   constexpr InstanceId kProposeAheadWindow = 64;
-  const InstanceId drain_window =
-      config_.real_blocks ? std::max<InstanceId>(1, config_.pipeline_window)
-                          : 1;
   const InstanceId frontier =
       std::max(current_, epoch_spans_.empty() ? InstanceId{0}
                                               : epoch_spans_.back().first);
   if (active_ && !membership_.running() && k >= current_ &&
       k < frontier + kProposeAheadWindow) {
-    raw->propose(payload_for(k, /*drain_mempool=*/k < current_ + drain_window),
+    raw->propose(payload_for(k, /*drain_mempool=*/k < current_ + window()),
                  /*extra_wire=*/0, /*tx_count=*/1, /*verify_units=*/1);
     tracer_->mark(e, k, obs::Phase::kPropose);
+    last_open_ = Clock::now();
   }
   return raw;
 }
@@ -695,6 +697,7 @@ void LiveNode::start_instance(InstanceId k) {
   engine->propose(payload, /*extra_wire=*/0,
                   /*tx_count=*/1, /*verify_units=*/1);
   tracer_->mark(engine->epoch(), k, obs::Phase::kPropose);
+  last_open_ = Clock::now();
 }
 
 void LiveNode::start_window() {
@@ -703,12 +706,44 @@ void LiveNode::start_window() {
   // and applies the decided ones below — instead of one instance at a
   // time gated on its own decision. start_instance is idempotent
   // (proposed/decided engines are skipped).
-  const InstanceId window =
-      config_.real_blocks ? std::max<InstanceId>(1, config_.pipeline_window)
-                          : 1;
   const InstanceId hi =
-      std::min<InstanceId>(config_.instances, current_ + window);
+      std::min<InstanceId>(config_.instances, current_ + window());
   for (InstanceId k = current_; k < hi; ++k) start_instance(k);
+}
+
+void LiveNode::arm_pacer(Duration delay) {
+  if (pacer_armed_) return;
+  pacer_armed_ = true;
+  loop_.schedule(std::max(delay, Duration::zero()), [this]() {
+    pacer_armed_ = false;
+    pace();
+  });
+}
+
+void LiveNode::pace() {
+  // Paused during a membership change: the epoch switch restarts the
+  // pipeline, and its first decision arms the pacer again.
+  if (!active_ || membership_.running() || all_decided()) return;
+  const Duration wait = last_open_ + pace_interval() - Clock::now();
+  if (wait > Duration::zero()) {
+    arm_pacer(wait);  // a peer's frame opened an instance meanwhile
+    return;
+  }
+  const InstanceId hi =
+      std::min<InstanceId>(config_.instances, current_ + window());
+  for (InstanceId k = current_; k < hi; ++k) {
+    const auto it = engines_.find(k);
+    if (it != engines_.end() &&
+        (it->second->has_proposed() || it->second->has_decided())) {
+      continue;
+    }
+    start_instance(k);
+    // One interval to the next open. Also when start_instance refused:
+    // a zero-delay retry would spin the loop.
+    arm_pacer(pace_interval());
+    return;
+  }
+  // The window is full; the next decision arms the pacer.
 }
 
 void LiveNode::on_decided(InstanceId k) {
@@ -803,10 +838,9 @@ void LiveNode::on_decided(InstanceId k) {
   if (membership_.running()) return;  // resumes after the epoch switch
   if (current_ < config_.instances) {
     if (config_.real_blocks && config_.block_interval > Duration::zero()) {
-      // Give clients a window to fill the next block.
-      loop_.schedule(config_.block_interval, [this]() {
-        if (!membership_.running()) start_window();
-      });
+      // Paced: the freed window slot opens one pacing interval after
+      // the last open, so clients' transactions fill the next block.
+      arm_pacer(last_open_ + pace_interval() - Clock::now());
     } else {
       start_window();
     }
@@ -1972,6 +2006,10 @@ void LiveNode::on_frame(ReplicaId from, BytesView data) {
       case MsgTag::kVote: {
         const SignedVote vote = SignedVote::decode(r);
         if (!known_signer(vote.signer)) return;
+        if (settled_history(vote.body.key)) {
+          settled_frames_dropped_->inc();
+          return;
+        }
         const Bytes sb = vote.body.signing_bytes();
         if (!scheme_->verify(vote.signer, BytesView(sb.data(), sb.size()),
                              BytesView(vote.signature.data(),
@@ -1985,6 +2023,10 @@ void LiveNode::on_frame(ReplicaId from, BytesView data) {
       case MsgTag::kProposal: {
         const ProposalMsg msg = ProposalMsg::decode(r);
         if (!known_signer(msg.vote.signer)) return;
+        if (settled_history(msg.vote.body.key)) {
+          settled_frames_dropped_->inc();
+          return;
+        }
         const Bytes sb = msg.vote.body.signing_bytes();
         if (!scheme_->verify(msg.vote.signer, BytesView(sb.data(), sb.size()),
                              BytesView(msg.vote.signature.data(),
@@ -2167,6 +2209,9 @@ void LiveNode::run(Duration deadline) {
     });
   }
   loop_.run_until(Clock::now() + deadline);
+  // A node that decided everything stops inside the last decision's
+  // hook, before the retirement that decision scheduled could run.
+  retire_settled();
   if (pipeline_ != nullptr) {
     // Flush the in-flight tail before callers read the ledger: every
     // decision submitted by the loop is applied and journal-synced when

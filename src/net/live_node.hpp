@@ -85,8 +85,10 @@ struct LiveNodeConfig {
   /// and a client gateway accepts signed transactions over TCP.
   bool real_blocks = false;
   std::uint16_t client_port = 0;  ///< gateway port (0 = ephemeral)
-  /// Payment mode: pause between a decision and the next proposal so
-  /// client transactions can accumulate into the next block.
+  /// Payment mode: instances open every block_interval /
+  /// pipeline_window, so a client transaction waits at most one such
+  /// pacing interval for the next proposal (see "Instance pacing" above
+  /// LiveNode). Zero runs instances back to back.
   Duration block_interval = std::chrono::milliseconds(100);
   /// Payment mode: durable block journal path ("" = in-memory only).
   /// Existing records are replayed into the BlockManager at startup;
@@ -210,16 +212,33 @@ struct LiveDecision {
 // retire_settled frees the contiguous decided prefix below the
 // decision floor (the first undecided index) and, with resync on, below
 // pruned_floor_ (every live peer reported past it). It runs after each
-// prune, and one loop turn after each decision: never inside an
-// engine's own hook. retired_floor_ marks that prefix, and
+// prune, one loop turn after each decision and once when run() returns:
+// never inside an engine's own hook. retired_floor_ marks that prefix, and
 // get_or_create refuses every index below it, as below settled_floor_
 // (the snapshot-settled prefix): a late or replayed frame never
 // resurrects an engine, which would vote a second time in an instance
-// this node already voted in and make it provably equivocate. Accountability loses nothing: PoF
-// observation below the decision floor is already cut off (PofStore
-// prune + log floor), and wire below pruned_floor_ already counts as
-// snapshot territory. Open engines stay O(pipeline window + resync
-// lag), not O(chain) (gauge zlb_open_engines).
+// this node already voted in and make it provably equivocate. on_frame
+// drops votes and proposals for those indices before verifying their
+// signatures (counter zlb_settled_frames_dropped_total). Accountability
+// loses nothing: PoF observation below the decision floor is already
+// cut off (PofStore prune + log floor), and wire below pruned_floor_
+// already counts as snapshot territory. Open engines stay O(pipeline
+// window + resync lag), not O(chain) (gauge zlb_open_engines).
+//
+// Instance pacing
+// ---------------
+// In payment mode with a block interval, one pacer per node opens the
+// next regular instance one pacing interval (block_interval /
+// pipeline_window) after the last regular instance this node saw open:
+// its own proposal, or one a peer's frame opened through get_or_create.
+// It never opens more than pipeline_window above the decision floor,
+// so the rate stays at pipeline_window / block_interval, and it pauses
+// while a membership change runs. Evenly spaced opens spread the
+// signing and verifying load: a window opened at once runs as a clump
+// whose frames queue together on the CPU-bound loop thread, and a
+// transaction that misses the clump waits a whole cycle. A decision
+// arms the pacer. Startup, epoch resume and snapshot install open the
+// window directly; those one-off clumps spread out by themselves.
 //
 // Signer bound: committee ∪ pool is the whole signer universe. Votes,
 // proposals, decisions and PoFs naming any other id are dropped before
@@ -362,9 +381,25 @@ class LiveNode {
   using Key = consensus::InstanceKey;
 
   void start_instance(InstanceId k) EXCLUDES(decisions_mutex_);
-  /// Opens every instance in [cursor, cursor + pipeline_window): the
-  /// concurrent-instances frontier (window 1 outside payment mode).
+  /// Opens every instance in [cursor, cursor + window()): the
+  /// concurrent-instances frontier.
   void start_window() EXCLUDES(decisions_mutex_);
+  /// Instances kept in flight: pipeline_window in payment mode, else 1.
+  [[nodiscard]] InstanceId window() const {
+    return config_.real_blocks
+               ? std::max<InstanceId>(1, config_.pipeline_window)
+               : 1;
+  }
+  /// block_interval / window(): the gap the pacer keeps between opens.
+  [[nodiscard]] Duration pace_interval() const {
+    return config_.block_interval / static_cast<Duration::rep>(window());
+  }
+  /// Schedules pace() after `delay` (at once if negative) unless it is
+  /// already scheduled.
+  void arm_pacer(Duration delay);
+  /// Opens the lowest unopened instance of the window once a pacing
+  /// interval passed since the last open (see "Instance pacing").
+  void pace() EXCLUDES(decisions_mutex_);
   Engine* get_or_create(InstanceId k) EXCLUDES(decisions_mutex_);
   void on_frame(ReplicaId from, BytesView data) EXCLUDES(decisions_mutex_);
   void on_decided(InstanceId k) EXCLUDES(decisions_mutex_);
@@ -381,6 +416,13 @@ class LiveNode {
   /// verifies (the scheme builds a table per id it is asked about).
   [[nodiscard]] bool known_signer(ReplicaId id) const {
     return std::binary_search(signers_.begin(), signers_.end(), id);
+  }
+  /// A regular instance below the snapshot-settled or retired floor:
+  /// get_or_create refuses it, so on_frame drops its votes and proposals
+  /// before paying for a signature verification.
+  [[nodiscard]] bool settled_history(const Key& key) const {
+    return key.kind == consensus::InstanceKind::kRegular &&
+           key.index < std::max(settled_floor_, retired_floor_);
   }
   /// Drops wire PoFs whose culprit is not a known signer.
   [[nodiscard]] std::vector<consensus::ProofOfFraud> known_culprits(
@@ -520,6 +562,7 @@ class LiveNode {
   std::array<obs::Counter*, kMsgKinds> tx_frames_{};
   std::array<obs::Counter*, kMsgKinds> tx_bytes_{};
   obs::Counter* rounds_total_ = nullptr;
+  obs::Counter* settled_frames_dropped_ = nullptr;
   obs::Counter* mempool_rejects_dup_ = nullptr;
   obs::Counter* mempool_rejects_committed_ = nullptr;
   obs::Counter* mempool_rejects_full_ = nullptr;
@@ -583,6 +626,10 @@ class LiveNode {
   /// get_or_create refuses the indices for good.
   InstanceId retired_floor_ = 0;
   InstanceId current_ = 0;
+  /// When this node last saw a regular instance open (the pacer's
+  /// reference point), and whether pace() is scheduled.
+  TimePoint last_open_{};
+  bool pacer_armed_ = false;
   /// 1 + highest locally decided/settled index (decision_ceiling()'s
   /// O(1) cursor; the engines map must not be scanned per decide).
   InstanceId decided_ceiling_ = 0;

@@ -329,6 +329,49 @@ SignedVote forge_vote(crypto::EcdsaScheme& forger, ReplicaId signer,
   return v;
 }
 
+std::uint64_t settled_frames_dropped(const LiveNode& node) {
+  for (const obs::Sample& s : node.metrics().samples()) {
+    if (s.name == "zlb_settled_frames_dropped_total") return s.counter_value;
+  }
+  ADD_FAILURE() << "no zlb_settled_frames_dropped_total counter";
+  return 0;
+}
+
+TEST(LiveCluster, ReplayedFrameForARetiredIndexIsNotVerified) {
+  // The scripted member 3 never votes, so a node derives its key only
+  // if it verifies a frame signed by 3 (the ECDSA scheme caches a key
+  // per id it verifies). Node 1 gets 3's vote for instance 0 while the
+  // instance runs and verifies it; the same frame replayed to node 0
+  // after instance 0 retired there must be dropped before that.
+  constexpr std::uint64_t kInstances = 20;
+  LiveNodeConfig cfg = fast_config(kInstances, /*ecdsa=*/true);
+  cfg.resync_interval = Duration::zero();
+  ScriptedMember cluster(4, cfg);
+  crypto::EcdsaScheme forger;
+  const consensus::InstanceKey key{0, consensus::InstanceKind::kRegular, 0};
+  // An echo in member 3's own slot, which carries no proposal: inert.
+  const Bytes frame = consensus::encode_vote_msg(
+      forge_vote(forger, 3, key, 3, 0, VoteType::kEcho, Bytes(32, 0)));
+  cluster.send(1, frame);
+  cluster.start();
+  ASSERT_TRUE(cluster.pump_until(
+      60s, [&] { return cluster.node(0).decided_count() >= 6; }));
+  cluster.send(0, frame);
+  ASSERT_TRUE(cluster.pump_until(60s, [&] { return cluster.all_decided(); }));
+  cluster.stop();
+
+  expect_agreement(cluster, kInstances);
+  auto cached = [&](std::size_t i) {
+    const auto& scheme = dynamic_cast<const crypto::EcdsaScheme&>(
+        cluster.node(i).signature_scheme());
+    const auto ids = scheme.cached_ids();
+    return std::count(ids.begin(), ids.end(), ReplicaId{3}) == 1;
+  };
+  EXPECT_TRUE(cached(1)) << "control: node 1 verified the live frame";
+  EXPECT_FALSE(cached(0)) << "node 0 verified a frame for a retired index";
+  EXPECT_GE(settled_frames_dropped(cluster.node(0)), 1u);
+}
+
 TEST(LiveCluster, CertifiedDecisionDecidingTheFloorInstanceKeepsItsEngine) {
   // Resync off and no commit pipeline, so a decided engine is retired
   // at the next opportunity. Here the instance decides inside the

@@ -6,7 +6,9 @@
 // framed TCP substituted for gRPC).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
 #include <thread>
 
 #include "chain/wallet.hpp"
@@ -245,6 +247,124 @@ TEST(LivePayment, DoubleSpendSecondTxRejectedAtCommit) {
     const auto c = cluster.node(i).balance(carol.address());
     EXPECT_EQ(b + c, 800) << "node " << i;
   }
+}
+
+/// Median of a non-empty sample (the upper one for an even count).
+std::int64_t median(std::vector<std::int64_t> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+TEST(LivePayment, PacerSpacesInstanceOpens) {
+  // One open every block_interval / pipeline_window = 50 ms, counted from
+  // the last open a node saw, never more than the window in flight.
+  const std::size_t n = 4;
+  LiveNodeConfig cfg = payment_config();
+  cfg.block_interval = 200ms;
+  const std::int64_t pace_ns =
+      std::chrono::nanoseconds(cfg.block_interval).count() /
+      static_cast<std::int64_t>(cfg.pipeline_window);
+  constexpr std::size_t kTxs = 7;
+  constexpr std::uint64_t kWarmup = 8;
+  chain::Wallet bob(to_bytes("bob"));
+  std::vector<chain::Wallet> senders;
+  chain::UtxoSet genesis_view;
+  for (std::size_t s = 0; s < kTxs; ++s) {
+    senders.emplace_back(to_bytes("sender-" + std::to_string(s)));
+    genesis_view.mint(senders.back().address(), 100);
+  }
+  LiveCluster cluster(n, cfg);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const auto& sender : senders) {
+      cluster.node(i).block_manager().utxos().mint(sender.address(), 100);
+    }
+  }
+  {
+    ClusterRunner runner(cluster, 120s);
+    std::optional<GatewayClient> client;
+    const auto connect_deadline = Clock::now() + 15s;
+    while (!client && Clock::now() < connect_deadline) {
+      client = GatewayClient::connect(cluster.node(0).client_port());
+      if (!client) std::this_thread::sleep_for(20ms);
+    }
+    ASSERT_TRUE(client.has_value());
+    const auto deadline = Clock::now() + 90s;
+    while (Clock::now() < deadline &&
+           cluster.node(0).decided_count() < kWarmup) {
+      std::this_thread::sleep_for(10ms);
+    }
+    // Mid-run submissions, spaced off the pacing grid.
+    for (auto& sender : senders) {
+      const auto tx = sender.pay(genesis_view, bob.address(), 10);
+      ASSERT_TRUE(tx.has_value());
+      const auto ack = client->submit(*tx);
+      ASSERT_TRUE(ack.has_value());
+      EXPECT_EQ(*ack, SubmitStatus::kAccepted);
+      std::this_thread::sleep_for(70ms);
+    }
+    while (Clock::now() < deadline &&
+           cluster.node(0).balance(bob.address()) != 10 * kTxs) {
+      std::this_thread::sleep_for(10ms);
+    }
+    ASSERT_EQ(cluster.node(0).balance(bob.address()), 10 * kTxs);
+  }
+
+  // Finished spans per node: propose = the node opened the instance,
+  // decide = it decided it. An instance counts as decided once its
+  // first node decided it: the peer that decided first may open the
+  // freed slot, and this node joins that open before its own decision.
+  constexpr auto kPropose = static_cast<std::size_t>(obs::Phase::kPropose);
+  constexpr auto kDecide = static_cast<std::size_t>(obs::Phase::kDecide);
+  constexpr auto kAdmit = static_cast<std::size_t>(obs::Phase::kAdmit);
+  std::map<std::uint64_t, std::int64_t> first_decide;
+  std::vector<std::vector<obs::InstanceTracer::Span>> spans(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const auto& span : cluster.node(i).tracer().recent()) {
+      if (span.instance < kWarmup || span.at_ns[kPropose] < 0 ||
+          span.at_ns[kDecide] < 0) {
+        continue;
+      }
+      spans[i].push_back(span);
+      auto [it, fresh] =
+          first_decide.emplace(span.instance, span.at_ns[kDecide]);
+      if (!fresh) it->second = std::min(it->second, span.at_ns[kDecide]);
+    }
+    std::sort(spans[i].begin(), spans[i].end(),
+              [](const auto& a, const auto& b) {
+                return a.instance < b.instance;
+              });
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<std::int64_t> gaps;
+    for (std::size_t s = 1; s < spans[i].size(); ++s) {
+      if (spans[i][s].instance != spans[i][s - 1].instance + 1) continue;
+      gaps.push_back(spans[i][s].at_ns[kPropose] -
+                     spans[i][s - 1].at_ns[kPropose]);
+    }
+    ASSERT_GE(gaps.size(), 5u) << "node " << i;
+    EXPECT_GE(median(gaps), pace_ns / 2) << "node " << i;
+    for (const auto& opened : spans[i]) {
+      const std::int64_t at = opened.at_ns[kPropose];
+      std::size_t in_flight = 0;
+      for (const auto& other : spans[i]) {
+        if (other.at_ns[kPropose] <= at && first_decide[other.instance] > at) {
+          ++in_flight;
+        }
+      }
+      EXPECT_LE(in_flight, cfg.pipeline_window)
+          << "node " << i << " instance " << opened.instance;
+    }
+  }
+  // The gateway node proposes each batch of client transactions within
+  // two pacing intervals of admitting its oldest one (plus slack).
+  std::vector<std::int64_t> waits;
+  for (const auto& span : spans[0]) {
+    if (span.at_ns[kAdmit] >= 0) {
+      waits.push_back(span.at_ns[kPropose] - span.at_ns[kAdmit]);
+    }
+  }
+  ASSERT_GE(waits.size(), 3u);
+  EXPECT_LE(median(waits), 2 * pace_ns + 50'000'000);
 }
 
 }  // namespace

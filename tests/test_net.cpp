@@ -1,9 +1,10 @@
 // The TCP substrate: frame codec (incremental decoding across
-// arbitrary stream splits, poisoning), the poll event loop (timers,
+// arbitrary stream splits, poisoning), the ppoll event loop (timers,
 // fd readiness) and the TcpTransport (handshake, queuing before
 // connect, large payloads, bad-peer rejection).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -156,6 +157,25 @@ TEST(EventLoop, RunReturnsWhenNothingRemains) {
   loop.schedule(std::chrono::milliseconds(1), [&] { ++fired; });
   loop.run();  // must not hang once the only timer fired
   EXPECT_EQ(fired, 1);
+}
+
+TEST(EventLoop, SubMillisecondTimerNeedsNoSpin) {
+  // A wait truncated to whole milliseconds would return 0.5 ms early and
+  // then spin on zero-timeout polls; the loop sleeps to the deadline.
+  for (int rep = 0; rep < 20; ++rep) {
+    EventLoop loop;
+    const Duration delay = std::chrono::microseconds(1500);
+    const TimePoint earliest = Clock::now() + delay;
+    std::optional<TimePoint> fired_at;
+    loop.schedule(delay, [&] { fired_at = Clock::now(); });
+    int calls = 0;
+    while (!fired_at && calls < 2) {
+      (void)loop.poll_once(std::chrono::milliseconds(100));
+      ++calls;
+    }
+    ASSERT_TRUE(fired_at.has_value()) << "rep " << rep;
+    EXPECT_GE(*fired_at, earliest) << "rep " << rep;
+  }
 }
 
 TEST(Socket, ListenOnEphemeralPortReportsIt) {
