@@ -30,14 +30,26 @@ class Mempool {
   /// Convenience: true iff the tx was newly queued.
   bool add(const Transaction& tx) { return try_add(tx) == AddResult::kAdded; }
 
-  /// Re-queues a transaction that was ALREADY admitted once (drained
-  /// into a proposal that lost its slot). Ignores the capacity bound:
-  /// the client holds an ACK for it, and backpressure belongs at
-  /// admission, never after the ACK. Still deduplicates.
-  bool readmit(const Transaction& tx);
+  /// A queued transaction and its admission stamp.
+  struct Entry {
+    Transaction tx;
+    std::int64_t admitted_ns = -1;
+  };
+
+  /// Re-queues transactions that were ALREADY admitted once (drained
+  /// into a proposal that lost its slot) at the FRONT of the queue, in
+  /// the given order and with their original admission stamps: they
+  /// were ACKed before anything queued since, so a block capped at
+  /// fewer transactions than the queue holds must carry them first.
+  /// Ignores the capacity bound: the client holds an ACK for them, and
+  /// backpressure belongs at admission, never after the ACK. Still
+  /// deduplicates; returns how many were re-queued.
+  std::size_t readmit(std::vector<Entry> entries);
 
   /// Removes and returns up to `max` transactions.
   [[nodiscard]] std::vector<Transaction> take_batch(std::size_t max);
+  /// Same, keeping each transaction's admission stamp (for readmit).
+  [[nodiscard]] std::vector<Entry> take_entries(std::size_t max);
 
   /// Drops any pending transaction whose id is in `committed`; returns
   /// how many were evicted. The commit pipeline calls this once per
@@ -54,7 +66,7 @@ class Mempool {
   /// Admission stamp of the transaction the next take_batch() drains
   /// first; -1 when empty or unstamped.
   [[nodiscard]] std::int64_t oldest_pending_ns() const {
-    return stamps_.empty() ? -1 : stamps_.front();
+    return queue_.empty() ? -1 : queue_.front().admitted_ns;
   }
 
   void set_capacity(std::size_t capacity) { capacity_ = capacity; }
@@ -68,9 +80,7 @@ class Mempool {
   [[nodiscard]] std::uint64_t rejected_full() const { return rejected_full_; }
 
  private:
-  std::deque<Transaction> queue_;
-  /// Admission stamp per queued transaction, in lockstep with queue_.
-  std::deque<std::int64_t> stamps_;
+  std::deque<Entry> queue_;
   std::unordered_set<TxId, crypto::Hash32Hasher> known_;
   std::size_t capacity_ = 0;
   std::uint64_t rejected_full_ = 0;

@@ -221,15 +221,21 @@ void SbcEngine::maybe_deliver(std::uint32_t slot) {
       ++delivered_;
       if (hooks_.slot_delivered) hooks_.slot_delivered(slot);
       if (!st.started) start_bincon(slot, 1);
-      if (!zero_phase_started_ && delivered_ >= live_quorum()) {
-        zero_phase_started_ = true;
-        for (std::uint32_t s = 0; s < slots_.size(); ++s) {
-          if (!slots_[s].started) start_bincon(s, 0);
-        }
-      }
+      maybe_start_zero_phase();
       check_instance_decided();
       return;
     }
+  }
+}
+
+void SbcEngine::maybe_start_zero_phase() {
+  if (zero_phase_started_) return;
+  const std::size_t ready =
+      config_.zero_phase_on_decided_ones ? decided_ones_ : delivered_;
+  if (ready < live_quorum()) return;
+  zero_phase_started_ = true;
+  for (std::uint32_t s = 0; s < slots_.size(); ++s) {
+    if (!slots_[s].started) start_bincon(s, 0);
   }
 }
 
@@ -339,6 +345,7 @@ void SbcEngine::decide_slot(std::uint32_t slot, std::uint8_t value,
   st.decided = true;
   st.decided_value = value;
   st.decided_round = round;
+  if (value == 1) ++decided_ones_;
   // Help the stragglers terminate: a replica whose round-r AUX set was
   // mixed advances with est = v and decides v at round r+2 (parity) --
   // but only if the deciders keep voting. Emit our (single, consistent)
@@ -354,6 +361,7 @@ void SbcEngine::decide_slot(std::uint32_t slot, std::uint8_t value,
       }
     }
   }
+  if (config_.zero_phase_on_decided_ones) maybe_start_zero_phase();
   check_instance_decided();
 }
 
@@ -365,6 +373,7 @@ void SbcEngine::adopt_slot_decision(std::uint32_t slot, std::uint8_t value,
   st.decided = true;
   st.decided_value = value;
   st.decided_round = 0;  // adopted, not locally derived
+  if (value == 1) ++decided_ones_;
   if (value == 1 && !st.delivered && digest_hint != nullptr &&
       st.payloads.count(*digest_hint) != 0) {
     st.delivered = true;
@@ -372,6 +381,7 @@ void SbcEngine::adopt_slot_decision(std::uint32_t slot, std::uint8_t value,
     ++delivered_;
     if (hooks_.slot_delivered) hooks_.slot_delivered(slot);
   }
+  if (config_.zero_phase_on_decided_ones) maybe_start_zero_phase();
   check_instance_decided();
 }
 
@@ -484,6 +494,9 @@ void SbcEngine::recheck() {
     maybe_deliver(s);
     recheck_slot(s);
   }
+  // The shrunk quorum may already be met by decisions taken before the
+  // shrink, with no further decision left to fire the trigger.
+  if (config_.zero_phase_on_decided_ones) maybe_start_zero_phase();
 }
 
 void SbcEngine::fingerprint(Writer& w) const {

@@ -12,6 +12,23 @@
 // accountable mode, ESTs of rounds > 1 model Polygraph's certificate
 // piggybacking as extra wire bytes + verification units.
 //
+// Zero phase: the binary consensus of a slot whose proposal has not
+// been delivered starts with input 0 once enough other slots are far
+// enough along. Which "far enough" is a driver choice
+// (Config::zero_phase_on_decided_ones):
+//  - the default starts it once n-t slots have RBC-DELIVERED. The
+//    simulator replica, the split-brain adversary, the baselines and
+//    zlb_mc run this rule; the attack model and zlb_mc's pinned state
+//    counts are built on it, so moving them is a protocol change of
+//    its own.
+//  - DBFT's rule (Red Belly/Polygraph) starts it once n-t slots have
+//    DECIDED 1. The live TCP node runs this rule: there each proposer
+//    opens an instance one network hop after the peer whose frame
+//    opened it, so under the delivery rule the slowest proposer's
+//    batch misses the trigger by milliseconds and is decided 0 in
+//    about a quarter of the instances. Waiting for n-t decisions gives
+//    its RBC the time of one binary-consensus round.
+//
 // Dynamic committees: vote thresholds are evaluated against a *live*
 // committee that the exclusion consensus (Alg. 1) shrinks at runtime;
 // `recheck()` re-evaluates every pending threshold after a shrink. The
@@ -60,6 +77,11 @@ class SbcEngine {
     /// transport (TCP connection churn) needs the replay to keep the
     /// paper's liveness argument, which assumes reliable delivery.
     bool record_wire = false;
+    /// Start the zero phase once live_quorum() slots DECIDED 1 (DBFT's
+    /// rule) instead of once live_quorum() slots delivered. The live
+    /// node sets it; the simulator keeps the delivery rule (see the
+    /// header comment).
+    bool zero_phase_on_decided_ones = false;
   };
 
   struct Hooks {
@@ -222,6 +244,7 @@ class SbcEngine {
   void maybe_echo(std::uint32_t slot, const crypto::Hash32& digest);
   void maybe_ready(std::uint32_t slot);
   void maybe_deliver(std::uint32_t slot);
+  void maybe_start_zero_phase();
   void start_bincon(std::uint32_t slot, std::uint8_t est);
   void send_est(std::uint32_t slot, std::uint32_t round, std::uint8_t value);
   void process_round(std::uint32_t slot);
@@ -242,6 +265,7 @@ class SbcEngine {
 
   std::vector<SlotState> slots_;
   std::size_t delivered_ = 0;
+  std::size_t decided_ones_ = 0;
   bool zero_phase_started_ = false;
   bool proposed_ = false;
   bool stopped_ = false;

@@ -53,6 +53,9 @@ LiveNode::LiveNode(LiveNodeConfig config)
   if (config_.resync_interval > Duration::zero()) {
     config_.engine.record_wire = true;
   }
+  // DBFT's zero-phase trigger (see consensus/sbc.hpp): a proposer that
+  // opened the instance one hop late keeps its slot.
+  config_.engine.zero_phase_on_decided_ones = true;
   // The signer universe: every id whose signature this node will ever
   // check. Frames naming anyone else are dropped before verification.
   std::vector<ReplicaId> signers = config_.committee;
@@ -278,6 +281,17 @@ void LiveNode::register_metrics() {
   rounds_total_ = &metrics_.counter(
       "zlb_consensus_rounds_total",
       "Binary-consensus rounds summed over decided slots");
+  own_batches_ = &metrics_.counter(
+      "zlb_own_batches_total",
+      "Decided instances in which this node proposed a non-empty batch");
+  own_slot_lost_ = &metrics_.counter(
+      "zlb_own_slot_lost_total",
+      "Decided instances in which this node's non-empty batch lost its "
+      "slot (decided 0)");
+  requeued_txs_ = &metrics_.counter(
+      "zlb_requeued_txs_total",
+      "Transactions put back into the mempool because the batch that "
+      "carried them was not decided");
   settled_frames_dropped_ = &metrics_.counter(
       "zlb_settled_frames_dropped_total",
       "Votes and proposals for retired or snapshot-settled instances, "
@@ -512,13 +526,18 @@ Bytes LiveNode::payload_for(InstanceId k, bool drain_mempool) {
     }
     if (drain_mempool) {
       const common::MutexLock lock(decisions_mutex_);
-      // The oldest queued admission stamp opens the span: the e2e
-      // latency of instance k is measured from the longest-waiting
-      // transaction its batch carries.
-      const std::int64_t admitted = mempool_.oldest_pending_ns();
-      block.txs = mempool_.take_batch(config_.max_block_txs);
-      if (!block.txs.empty()) {
-        proposed_txs_[k] = block.txs;
+      // The oldest admission stamp opens the span: the e2e latency of
+      // instance k is measured from the longest-waiting transaction its
+      // batch carries (a readmitted one keeps its first stamp).
+      std::vector<chain::Mempool::Entry> batch =
+          mempool_.take_entries(config_.max_block_txs);
+      if (!batch.empty()) {
+        std::int64_t admitted = batch.front().admitted_ns;
+        for (const auto& entry : batch) {
+          block.txs.push_back(entry.tx);
+          admitted = std::min(admitted, entry.admitted_ns);
+        }
+        proposed_txs_[k] = std::move(batch);
         if (admitted >= 0) {
           const std::uint32_t e = eo.value_or(epoch_);
           tracer_->mark_at(e, k, obs::Phase::kSubmit, admitted);
@@ -658,9 +677,10 @@ LiveNode::Engine* LiveNode::get_or_create(InstanceId k) {
   // instance its committee is actively working, even when its own
   // contiguous floor lags (an admitted standby mid-catch-up, a veteran
   // behind a join). The zero-phase only fires after a QUORUM of slots
-  // deliver — with more than t members waiting for their floor to reach
-  // the working instance, fewer than a quorum of slots would ever
-  // propose and the instance wedges. Only the pipeline window above
+  // decide 1, and a slot decides 1 only once its proposal delivered —
+  // with more than t members waiting for their floor to reach the
+  // working instance, fewer than a quorum of slots would ever propose
+  // and the instance wedges. Only the pipeline window above
   // the in-order cursor drains the mempool: a remote frame for a
   // far-future index must not be able to strand ACKed client batches
   // in an instance the chain will not reach for ages, so everything
@@ -772,9 +792,12 @@ void LiveNode::on_decided(InstanceId k) {
       if (!entry.payload.empty()) payloads.push_back(entry.payload);
     }
     pipeline_->submit(engine->epoch(), k, std::move(payloads));
-    // If our own slot lost its binary consensus (the proposal raced the
-    // zero-phase), the drained transactions must go back into the
-    // mempool for the next block — clients got an ACK for them.
+    // If our own slot lost its binary consensus (our proposal had not
+    // delivered at enough nodes when n-t slots decided 1 and the zero
+    // phase voted it 0), the drained transactions go back to the head
+    // of the mempool for the next block — clients got an ACK for
+    // them. zlb_own_slot_lost_total / zlb_own_batches_total is the
+    // loss rate.
     if (proposed_txs_.count(k) != 0) {
       const consensus::Committee com(epoch_members_.at(engine->epoch()));
       const int my_slot = com.slot_of(config_.me);
@@ -783,7 +806,11 @@ void LiveNode::on_decided(InstanceId k) {
                             static_cast<std::size_t>(my_slot) <
                                 bitmask.size() &&
                             bitmask[static_cast<std::size_t>(my_slot)] == 1;
-      if (!included) requeue_proposed(k);
+      own_batches_->inc();
+      if (!included) {
+        own_slot_lost_->inc();
+        requeue_proposed(k);
+      }
       proposed_txs_.erase(k);
     }
     if (maybe_checkpoint()) {
@@ -933,11 +960,15 @@ void LiveNode::requeue_proposed(InstanceId k) {
   {
     const common::MutexLock lock(decisions_mutex_);
     const common::MutexLock ledger(ledger_mutex_);
-    for (auto& tx : it->second) {
-      // readmit: clients were ACKed at admission; the capacity bound
-      // must not silently drop them now.
-      if (!bm_.knows_tx(tx.id())) (void)mempool_.readmit(tx);
+    std::vector<chain::Mempool::Entry> uncommitted;
+    for (auto& entry : it->second) {
+      if (!bm_.knows_tx(entry.tx.id())) {
+        uncommitted.push_back(std::move(entry));
+      }
     }
+    // readmit: clients were ACKed at admission; the capacity bound
+    // must not silently drop them now.
+    requeued_txs_->inc(mempool_.readmit(std::move(uncommitted)));
   }
   proposed_txs_.erase(it);
 }

@@ -489,8 +489,9 @@ class LiveNode {
   /// ahead of its engine).
   Engine* route_engine(ReplicaId from, const Key& key, BytesView frame)
       EXCLUDES(decisions_mutex_);
-  /// Re-queues the drained batch of instance `k` when it did not commit
-  /// (client-ACKed transactions must survive a lost slot or teardown).
+  /// Re-queues the drained batch of instance `k` at the head of the
+  /// mempool when it did not commit (client-ACKed transactions must
+  /// survive a lost slot or teardown).
   void requeue_proposed(InstanceId k) EXCLUDES(decisions_mutex_);
   /// Registers pending PoFs, gossips fresh ones, rechecks a shrunk
   /// exclusion, and triggers the membership change at fd culprits.
@@ -562,6 +563,9 @@ class LiveNode {
   std::array<obs::Counter*, kMsgKinds> tx_frames_{};
   std::array<obs::Counter*, kMsgKinds> tx_bytes_{};
   obs::Counter* rounds_total_ = nullptr;
+  obs::Counter* own_batches_ = nullptr;
+  obs::Counter* own_slot_lost_ = nullptr;
+  obs::Counter* requeued_txs_ = nullptr;
   obs::Counter* settled_frames_dropped_ = nullptr;
   obs::Counter* mempool_rejects_dup_ = nullptr;
   obs::Counter* mempool_rejects_committed_ = nullptr;
@@ -661,12 +665,12 @@ class LiveNode {
 
   std::unique_ptr<ClientGateway> gateway_;
   chain::Mempool mempool_ GUARDED_BY(decisions_mutex_);
-  /// Payment mode: what we proposed per instance, so transactions are
-  /// re-queued when our own slot loses its binary consensus. Loop-thread
-  /// only (the map itself needs no lock; the transaction VECTORS are
-  /// drained/readmitted under decisions_mutex_ where they touch the
-  /// mempool).
-  std::map<InstanceId, std::vector<chain::Transaction>> proposed_txs_;
+  /// Payment mode: what we proposed per instance, with admission
+  /// stamps, so transactions are re-queued when our own slot loses its
+  /// binary consensus. Loop-thread only (the map itself needs no lock;
+  /// the batches are drained/readmitted under decisions_mutex_ where
+  /// they touch the mempool).
+  std::map<InstanceId, std::vector<chain::Mempool::Entry>> proposed_txs_;
   /// Guards bm_ — UTXO state, known-tx set, block store AND journal.
   /// Taken by the pipeline's committer thread per flush and by
   /// loop/observer reads; nests INSIDE decisions_mutex_ (see the

@@ -367,6 +367,86 @@ TEST(LivePayment, PacerSpacesInstanceOpens) {
   EXPECT_LE(median(waits), 2 * pace_ns + 50'000'000);
 }
 
+std::uint64_t counter_value(const LiveNode& node, const std::string& name) {
+  for (const obs::Sample& s : node.metrics().samples()) {
+    if (s.name == name) return s.counter_value;
+  }
+  ADD_FAILURE() << "no " << name << " counter";
+  return 0;
+}
+
+TEST(LivePayment, OwnBatchesRarelyLoseTheirSlot) {
+  // Every node gets client transactions, so every proposer carries
+  // non-empty batches. A node opens an instance one hop after the peer
+  // that opened it; with the zero phase waiting for n-t slots to
+  // DECIDE 1, that late batch still delivers in time and keeps its
+  // slot.
+  const std::size_t n = 4;
+  constexpr std::size_t kTxs = 160;
+  chain::Wallet bob(to_bytes("bob"));
+  std::vector<chain::Wallet> senders;
+  chain::UtxoSet genesis_view;
+  for (std::size_t s = 0; s < kTxs; ++s) {
+    senders.emplace_back(to_bytes("lost-slot-sender-" + std::to_string(s)));
+    genesis_view.mint(senders.back().address(), 100);
+  }
+  LiveCluster cluster(n, payment_config());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const auto& sender : senders) {
+      cluster.node(i).block_manager().utxos().mint(sender.address(), 100);
+    }
+  }
+  {
+    ClusterRunner runner(cluster, 120s);
+    std::vector<GatewayClient> clients;
+    const auto connect_deadline = Clock::now() + 15s;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::optional<GatewayClient> client;
+      while (!client && Clock::now() < connect_deadline) {
+        client = GatewayClient::connect(cluster.node(i).client_port());
+        if (!client) std::this_thread::sleep_for(20ms);
+      }
+      ASSERT_TRUE(client.has_value()) << "node " << i;
+      clients.push_back(std::move(*client));
+    }
+    for (std::size_t s = 0; s < kTxs; ++s) {
+      const auto tx = senders[s].pay(genesis_view, bob.address(), 10);
+      ASSERT_TRUE(tx.has_value());
+      const auto ack = clients[s % n].submit(*tx);
+      ASSERT_TRUE(ack.has_value());
+      EXPECT_EQ(*ack, SubmitStatus::kAccepted);
+      std::this_thread::sleep_for(10ms);
+    }
+    const auto deadline = Clock::now() + 90s;
+    auto all_committed = [&] {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (cluster.node(i).balance(bob.address()) != 10 * kTxs) return false;
+      }
+      return true;
+    };
+    while (Clock::now() < deadline && !all_committed()) {
+      std::this_thread::sleep_for(10ms);
+    }
+    ASSERT_TRUE(all_committed()) << "client transactions lost";
+  }
+  std::uint64_t batches = 0, lost = 0, requeued = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t node_batches =
+        counter_value(cluster.node(i), "zlb_own_batches_total");
+    EXPECT_GT(node_batches, 0u) << "node " << i << " proposed no batch";
+    batches += node_batches;
+    lost += counter_value(cluster.node(i), "zlb_own_slot_lost_total");
+    requeued += counter_value(cluster.node(i), "zlb_requeued_txs_total");
+  }
+  // Measured here: 0-6% of own batches lost standalone, up to 12% next
+  // to a parallel build, 34-41% with the delivered-slots trigger.
+  ASSERT_GE(batches, 40u);
+  EXPECT_LE(lost * 5, batches)
+      << lost << " of " << batches << " own batches lost their slot";
+  // Each lost batch carried at least one transaction back to the queue.
+  EXPECT_GE(requeued, lost);
+}
+
 }  // namespace
 }  // namespace zlb::net
 namespace zlb::net {

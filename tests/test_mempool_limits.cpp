@@ -57,6 +57,39 @@ TEST(MempoolLimits, DrainingFreesCapacity) {
   EXPECT_EQ(pool.try_add(batch[0]), Mempool::AddResult::kAdded);
 }
 
+TEST(MempoolLimits, ReadmitGoesToTheFrontWithOriginalStamps) {
+  // A batch that lost its slot was ACKed before anything queued since:
+  // it goes back to the head of the queue, in order, keeping the
+  // admission stamps that measure its wait.
+  common::ManualClock clock(10);
+  Mempool pool(3);
+  pool.set_clock(&clock);
+  const auto txs = make_txs(4);
+  for (std::size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(pool.try_add(txs[i]), Mempool::AddResult::kAdded);
+    clock.advance(10);
+  }
+  auto lost = pool.take_entries(2);
+  ASSERT_EQ(lost.size(), 2u);
+  ASSERT_EQ(pool.try_add(txs[3]), Mempool::AddResult::kAdded);  // t=40
+  EXPECT_EQ(pool.oldest_pending_ns(), 30'000'000'000);
+  // Capacity does not apply to readmission; duplicates still do.
+  lost.push_back(lost.front());
+  EXPECT_EQ(pool.readmit(std::move(lost)), 2u);
+  EXPECT_EQ(pool.size(), 4u);
+  EXPECT_EQ(pool.oldest_pending_ns(), 10'000'000'000);
+  // A block capped at two carries the readmitted pair first.
+  const auto next = pool.take_entries(2);
+  ASSERT_EQ(next.size(), 2u);
+  EXPECT_EQ(next[0].tx.id(), txs[0].id());
+  EXPECT_EQ(next[1].tx.id(), txs[1].id());
+  EXPECT_EQ(next[1].admitted_ns, 20'000'000'000);
+  const auto rest = pool.take_batch(10);
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[0].id(), txs[2].id());
+  EXPECT_EQ(rest[1].id(), txs[3].id());
+}
+
 TEST(MempoolLimits, ZeroCapacityMeansUnbounded) {
   Mempool pool;
   const auto txs = make_txs(16);

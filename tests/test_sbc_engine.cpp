@@ -38,12 +38,28 @@ class EngineHarness {
   [[nodiscard]] std::size_t n() const { return engines_.size(); }
 
   /// Delivers queued broadcasts to every engine until quiescent.
+  /// Messages matching the hold filter are parked instead.
   void drain() {
     while (!queue_.empty()) {
       auto [from, data] = std::move(queue_.front());
       queue_.pop_front();
+      if (hold_ && hold_(data)) {
+        held_.emplace_back(from, std::move(data));
+        continue;
+      }
       for (auto& e : engines_) deliver(*e, data);
     }
+  }
+
+  /// Parks every later broadcast matching `filter` until release().
+  void hold(std::function<bool(const Bytes&)> filter) {
+    hold_ = std::move(filter);
+  }
+  /// Re-queues the parked broadcasts in order and stops holding.
+  void release() {
+    hold_ = nullptr;
+    for (auto& m : held_) queue_.push_back(std::move(m));
+    held_.clear();
   }
 
   void propose_all(const std::string& prefix = "batch-") {
@@ -66,8 +82,52 @@ class EngineHarness {
   std::vector<ReplicaId> members_;
   std::vector<std::unique_ptr<SbcEngine>> engines_;
   std::deque<std::pair<ReplicaId, Bytes>> queue_;
+  std::deque<std::pair<ReplicaId, Bytes>> held_;
+  std::function<bool(const Bytes&)> hold_;
   std::vector<bool> decided_;
 };
+
+/// EST and AUX votes: the binary-consensus traffic, as opposed to RBC.
+bool is_bincon_vote(const Bytes& data) {
+  if (data[0] != static_cast<std::uint8_t>(MsgTag::kVote)) return false;
+  Reader r(BytesView(data.data() + 1, data.size() - 1));
+  const VoteType type = SignedVote::decode(r).body.type;
+  return type == VoteType::kEst || type == VoteType::kAux;
+}
+
+/// Slot 3 of four proposes only after slots 0-2 RBC-delivered at every
+/// engine, while no binary consensus has decided yet (all EST/AUX votes
+/// are held back until the late proposal delivered too). Returns the
+/// bitmask every engine decided.
+std::vector<std::uint8_t> late_proposer_outcome(bool on_decided_ones) {
+  SbcEngine::Config cfg;
+  cfg.zero_phase_on_decided_ones = on_decided_ones;
+  EngineHarness h(4, cfg);
+  h.hold(is_bincon_vote);
+  for (std::size_t i = 0; i < 3; ++i) {
+    h.engine(i).propose(to_bytes("batch-" + std::to_string(i)), 0, 1);
+  }
+  h.drain();
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(h.engine(i).delivered_count(), 3u) << "engine " << i;
+    EXPECT_FALSE(h.engine(i).slot_debug(0).decided) << "engine " << i;
+    // The delivery rule starts slot 3 with input 0 right here.
+    EXPECT_EQ(h.engine(i).slot_debug(3).started, !on_decided_ones)
+        << "engine " << i;
+  }
+  h.engine(3).propose(to_bytes("batch-3"), 0, 1);
+  h.drain();
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(h.engine(i).delivered_count(), 4u) << "engine " << i;
+  }
+  h.release();
+  h.drain();
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_TRUE(h.decided(i)) << "engine " << i;
+    EXPECT_EQ(h.engine(i).bitmask(), h.engine(0).bitmask());
+  }
+  return h.engine(0).bitmask();
+}
 
 class EngineSizes : public ::testing::TestWithParam<std::size_t> {};
 
@@ -215,6 +275,59 @@ TEST(SbcEngine, LiveCommitteeShrinkStillDecides) {
   h.drain();
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_TRUE(h.decided(i)) << "engine " << i;
+  }
+}
+
+TEST(SbcEngine, LateProposalKeepsItsSlotUnderDecidedOnesRule) {
+  // Delivered before n-t slots DECIDED 1: the slot runs with input 1.
+  EXPECT_EQ(late_proposer_outcome(true),
+            (std::vector<std::uint8_t>{1, 1, 1, 1}));
+}
+
+TEST(SbcEngine, LateProposalLosesItsSlotUnderDeliveryRule) {
+  // Delivered after n-t slots delivered: the zero phase already voted
+  // the slot 0 everywhere.
+  EXPECT_EQ(late_proposer_outcome(false),
+            (std::vector<std::uint8_t>{1, 1, 1, 0}));
+}
+
+TEST(SbcEngine, AdoptedDecisionsCountTowardDecidedOnesTrigger) {
+  SbcEngine::Config cfg;
+  cfg.zero_phase_on_decided_ones = true;
+  EngineHarness h(4, cfg);
+  SbcEngine& straggler = h.engine(3);
+  straggler.adopt_slot_decision(0, 1, nullptr);
+  straggler.adopt_slot_decision(1, 1, nullptr);
+  EXPECT_FALSE(straggler.slot_debug(3).started);
+  straggler.adopt_slot_decision(2, 1, nullptr);
+  EXPECT_TRUE(straggler.slot_debug(3).started);
+  EXPECT_EQ(straggler.slot_debug(3).round, 1u);
+}
+
+TEST(SbcEngine, ShrinkRecheckFiresDecidedOnesTrigger) {
+  // Four of seven slots decide 1 under a quorum of 5: the zero phase
+  // waits. Excluding two members lowers the quorum to 4, which the
+  // decisions already meet, and only recheck() can notice.
+  Committee live({0, 1, 2, 3, 4, 5, 6});
+  SbcEngine::Config cfg;
+  cfg.zero_phase_on_decided_ones = true;
+  EngineHarness h(7, cfg, &live);
+  for (std::size_t i = 0; i < 4; ++i) {
+    h.engine(i).propose(to_bytes("p" + std::to_string(i)), 0, 1);
+  }
+  h.drain();
+  for (std::size_t i = 0; i < 7; ++i) {
+    EXPECT_TRUE(h.engine(i).slot_debug(3).decided) << "engine " << i;
+    EXPECT_FALSE(h.engine(i).slot_debug(4).started) << "engine " << i;
+    EXPECT_FALSE(h.decided(i)) << "engine " << i;
+  }
+  live.remove({5, 6});
+  for (std::size_t i = 0; i < 7; ++i) h.engine(i).recheck();
+  h.drain();
+  for (std::size_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(h.decided(i)) << "engine " << i;
+    EXPECT_EQ(h.engine(i).bitmask(),
+              (std::vector<std::uint8_t>{1, 1, 1, 1, 0, 0, 0}));
   }
 }
 
